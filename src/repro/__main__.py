@@ -154,7 +154,9 @@ def _add_sharding_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--chunk", type=int, default=None, metavar="N",
         help=("work-stealing chunk size (faults per stolen task) for the "
-              "persistent pool (identical results; default: auto)"))
+              "persistent pool; a grading task walks every pattern "
+              "window of its chunk (identical results; default: auto — "
+              "lane-width chunks for grading, <= 64 for classification)"))
 
 
 def _add_kernel_argument(parser: argparse.ArgumentParser) -> None:

@@ -49,13 +49,35 @@ from repro.netlist.traversal import topological_instances
 NO_NET = -1
 
 
+#: Attribute used for the per-object signature memo on Netlist instances.
+_SIGNATURE_SLOT = "_signature_cache"
+
+
 def netlist_signature(netlist: Netlist) -> str:
     """A stable digest of the netlist structure.
 
     Covers the name, ports, unobservable ports, every instance with its
     cell and pin connectivity, and every tied net — i.e. everything the
     analyses read.  Two structurally identical clones hash the same.
+
+    Memoised on the netlist object, revalidated with the same cheap
+    fingerprint :func:`get_compiled` trusts (plus the name), so the many
+    callers that key caches by signature pay the full walk once per
+    structural edit.
     """
+    key = (netlist.name, _fingerprint(netlist))
+    slot = getattr(netlist, _SIGNATURE_SLOT, None)
+    if slot is not None and slot[0] == key:
+        return slot[1]
+    signature = _compute_signature(netlist)
+    try:
+        setattr(netlist, _SIGNATURE_SLOT, (key, signature))
+    except AttributeError:  # pragma: no cover - slotted subclasses
+        pass
+    return signature
+
+
+def _compute_signature(netlist: Netlist) -> str:
     hasher = hashlib.sha256()
 
     def feed(text: str) -> None:

@@ -12,7 +12,8 @@ from repro.runtime.pool import (DEFAULT_JOB_CACHE, DEFAULT_NETLIST_CACHE,
                                 pool_stats, resolve_pool_mode,
                                 shutdown_pools)
 from repro.runtime.scheduler import (MONSTER_RATIO, build_chunks,
-                                     default_chunk_size)
+                                     default_chunk_size,
+                                     simulation_chunk_size)
 from repro.runtime.shm import (ShmPatterns, ShmWindows, share_patterns,
                                share_windows, shared_memory_available)
 
@@ -36,4 +37,5 @@ __all__ = [
     "share_windows",
     "shared_memory_available",
     "shutdown_pools",
+    "simulation_chunk_size",
 ]

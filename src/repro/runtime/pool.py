@@ -38,8 +38,9 @@ graceful degradation
 Determinism note: the pool never reorders *verdict-relevant* work — the
 schedulers built on top (:mod:`repro.runtime.scheduler` and the pooled
 paths of :mod:`repro.simulation.sharded`) keep each fault in exactly one
-chunk and walk that chunk's pattern windows in order, which is what keeps
-results byte-identical to serial under any steal order.  ``jitter_seed``
+chunk, and a simulation chunk walks its pattern windows in order inside
+one task, which is what keeps results byte-identical to serial under any
+steal order.  ``jitter_seed``
 injects deterministic per-task delays to let tests sweep interleavings.
 """
 
@@ -194,9 +195,8 @@ class _RunHandle:
 
     ``submit`` enqueues ``(method, task)`` chunks; :meth:`results` yields
     ``(tag, task, result)`` as workers complete them — and keeps yielding
-    for tasks submitted *from inside* the loop, which is how the pooled
-    window drivers pipeline a chunk's next round as soon as its current
-    one merges.
+    for tasks submitted *from inside* the loop, so a driver may also feed
+    follow-up work as results merge.
     """
 
     def __init__(self, pool: "WorkerPool", key: str) -> None:

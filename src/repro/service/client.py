@@ -50,6 +50,14 @@ class ServiceClient:
     # ------------------------------------------------------------------ #
     @contextlib.contextmanager
     def _connection(self):
+        """One TCP connection; every transport failure is unavailability.
+
+        A listener that closes while a request is in flight (a draining
+        service, a crashed server) surfaces as a reset or broken pipe in
+        ``sendall``/``readline`` rather than at connect; those map to
+        :class:`ServiceUnavailable` too, so callers handle one error type
+        whenever the service is gone.
+        """
         try:
             sock = socket.create_connection((self.host, self.port),
                                             timeout=self.timeout)
@@ -58,6 +66,10 @@ class ServiceClient:
                 f"cannot reach {self.host}:{self.port} ({exc})") from exc
         try:
             yield sock
+        except OSError as exc:
+            raise ServiceUnavailable(
+                f"connection to {self.host}:{self.port} lost "
+                f"({exc})") from exc
         finally:
             with contextlib.suppress(OSError):
                 sock.close()

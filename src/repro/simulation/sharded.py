@@ -48,23 +48,25 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import time
 import multiprocessing
 import os
+import pickle
 import threading
+import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
+from hashlib import sha256
 from typing import (Dict, Iterable, List, Mapping, Optional, Sequence, Set,
                     Tuple)
 
-from repro.faults.models import Fault, resolve_injection
+from repro.faults.models import Fault, InjectionSpec, resolve_injection
 from repro.netlist.compiled import CompiledNetlist, get_compiled
 from repro.netlist.module import Netlist
 from repro.simulation.fault_sim import (FaultSimResult, good_planes,
                                         observation_net_names,
                                         pair_allowed_mask, resolve_site)
-from repro.simulation.kernels import get_kernel
+from repro.simulation.kernels import PLANE_LANES, WORD_LANES, get_kernel
 from repro.simulation.parallel import (compute_good_words,
                                        pair_allowed_words, word_program)
 from repro.simulation.simulator import plane_program
@@ -271,28 +273,122 @@ class DetectionFrontier:
 
 
 # --------------------------------------------------------------------- #
+# the compact site table workers simulate from
+# --------------------------------------------------------------------- #
+class SiteTable(tuple):
+    """Position-indexed ``(site, InjectionSpec)`` pairs of a fault list.
+
+    What a simulation worker needs of a fault is its resolved site
+    (:func:`~repro.simulation.fault_sim.resolve_site`) and its injection
+    spec, so the parent resolves every site once and ships this table
+    instead of ``Fault`` objects; results come back as positions, which
+    the parent maps to its own fault list.  Equal sites and equal specs
+    are interned to one object each, so the table pickles compactly
+    (pickle memoises repeated objects) and unpickles small.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, compiled: CompiledNetlist,
+           faults: Iterable[Fault]) -> "SiteTable":
+        sites: Dict[Tuple, Tuple] = {}
+        specs: Dict[InjectionSpec, InjectionSpec] = {}
+        rows = []
+        for fault in faults:
+            site = resolve_site(compiled, fault)
+            spec = resolve_injection(fault)
+            rows.append((sites.setdefault(site, site),
+                         specs.setdefault(spec, spec)))
+        return cls(rows)
+
+
+class _PoolPlan:
+    """A fault list's pooled-run plan: site table, its digest, chunks.
+
+    Built once per fault list and memoised on the compiled IR (see
+    :func:`_pool_plan`), so a warm re-grade neither re-resolves sites,
+    re-packs chunks nor re-pickles the population for its job key.
+    """
+
+    def __init__(self, compiled: CompiledNetlist,
+                 faults: Tuple[Fault, ...]) -> None:
+        self.faults = faults
+        self.table = SiteTable.of(compiled, faults)
+        self.digest = sha256(pickle.dumps(self.table, protocol=4)).hexdigest()
+        self._chunks: Dict[int, List[Tuple[int, ...]]] = {}
+
+    def chunks(self, compiled: CompiledNetlist,
+               chunk_size: int) -> List[Tuple[int, ...]]:
+        """Cone-affine chunks at ``chunk_size``, in dispatch order."""
+        from repro.runtime.scheduler import plan_chunks
+
+        chunks = self._chunks.get(chunk_size)
+        if chunks is None:
+            chunks = plan_chunks(compiled, [site for site, _ in self.table],
+                                 chunk_size)
+            self._chunks[chunk_size] = chunks
+        return chunks
+
+
+#: Pooled-run plans kept per compiled netlist (most recent fault lists).
+POOL_PLAN_CACHE = 4
+
+_PLAN_LOCK = threading.Lock()
+
+
+def _pool_plan(compiled: CompiledNetlist,
+               faults: Tuple[Fault, ...]) -> _PoolPlan:
+    """The memoised :class:`_PoolPlan` of ``faults`` on ``compiled``.
+
+    Looked up by fault-list equality — a C-level element walk that
+    short-circuits on identity, so re-grading the same list costs ~1 ms
+    where hashing or pickling 68k faults costs ~100.
+    """
+    plans = compiled.extension("pool_plans", lambda _compiled: [])
+    with _PLAN_LOCK:
+        for index, plan in enumerate(plans):
+            if len(plan.faults) == len(faults) and plan.faults == faults:
+                plans.append(plans.pop(index))  # LRU refresh
+                return plan
+        plan = _PoolPlan(compiled, faults)
+        plans.append(plan)
+        del plans[:-POOL_PLAN_CACHE]
+        return plan
+
+
+# --------------------------------------------------------------------- #
 # worker-side jobs
 # --------------------------------------------------------------------- #
 class _ShardJob:
     """Base class for worker-side job state.
 
-    A job carries everything a worker needs (netlist, shard fault tuples,
-    patterns, observation config).  Heavy derived state — the compiled IR,
-    evaluator programs, resolved fault sites, per-window good machines —
-    is built by :meth:`prepare` and **excluded from pickling**: workers on
-    a fork backend inherit it from the parent for free, spawn/pickle
-    workers rebuild it lazily on first use.
+    A job carries everything a worker needs: the netlist, one
+    :class:`SiteTable` per shard (fault tuples passed in are resolved
+    into tables here, in the parent — no ``Fault`` object reaches a
+    worker), patterns and observation config.  Heavy derived state — the
+    compiled IR, evaluator programs, per-window good machines — is built
+    by :meth:`prepare` and **excluded from pickling**: workers on a fork
+    backend inherit it from the parent for free, spawn/pickle workers
+    rebuild it lazily on first use.
+
+    Two task shapes: :meth:`run_window` (one shard, one window — the
+    round-barrier shard runner) and :meth:`run_chunk` (a chunk of
+    positions into shard 0 walked through every window in one task,
+    dropping detected faults as it goes — the work-stealing pool).
     """
 
     _RUNTIME_ATTRS = ("_prepared", "_compiled", "_program", "_obs_flags",
-                      "_sites", "_specs", "_window_memo", "_kernel")
+                      "_window_memo", "_kernel")
 
-    def __init__(self, netlist: Netlist,
-                 shards: Tuple[Tuple[Fault, ...], ...],
+    def __init__(self, netlist: Netlist, shards,
                  observation_nets: frozenset,
                  kernel: Optional[str] = None) -> None:
         self.netlist = netlist
-        self.shards = shards
+        compiled = get_compiled(netlist)
+        self.shards = tuple(
+            shard if isinstance(shard, SiteTable)
+            else SiteTable.of(compiled, shard) for shard in shards)
         self.observation_nets = observation_nets
         # A picklable kernel *name* (the scheduler resolves "auto" before
         # shipping); the kernel object itself is runtime state.
@@ -326,23 +422,60 @@ class _ShardJob:
         self._obs_flags = obs_flags
         self._kernel = get_kernel(self.kernel)
         self._program = self._build_program(compiled)
-        self._sites = {
-            fault: resolve_site(compiled, fault)
-            for shard in self.shards for fault in shard
-        }
-        self._specs = {
-            fault: resolve_injection(fault)
-            for shard in self.shards for fault in shard
-        }
         self._window_memo: Dict[int, tuple] = {}
         self._prepared = True
+
+    def run_window(self, task):
+        """task = (shard id, positions, window) -> (shard id, hits)."""
+        shard_id, positions, window = task
+        self.prepare()
+        return shard_id, self._window_hits(self.shards[shard_id], positions,
+                                           window)
+
+    def run_chunk(self, task):
+        """task = (positions, drop detected) -> ``[(window, hits), ...]``.
+
+        Walks the chunk through every window in order inside the worker;
+        with dropping on, a detected position leaves the chunk for every
+        later window.  Windows without hits are omitted.
+        """
+        positions, drop = task
+        self.prepare()
+        table = self.shards[0]
+        todo = list(positions)
+        outcome = []
+        for window in self._windows():
+            if not todo:
+                break
+            hits = self._window_hits(table, todo, window)
+            if hits:
+                outcome.append((window, hits))
+                if drop:
+                    done = set(self._hit_positions(hits))
+                    todo = [position for position in todo
+                            if position not in done]
+        return outcome
 
     def _build_program(self, compiled: CompiledNetlist):
         raise NotImplementedError
 
+    def _windows(self) -> Sequence[int]:
+        raise NotImplementedError
+
+    def _window_hits(self, table: SiteTable, positions, window) -> list:
+        raise NotImplementedError
+
+    @staticmethod
+    def _hit_positions(hits) -> Iterable[int]:
+        return hits
+
 
 class _PlaneSimJob(_ShardJob):
-    """Sharded counterpart of ``FaultSimulator.run`` (three-valued planes)."""
+    """Sharded counterpart of ``FaultSimulator.run`` (three-valued planes).
+
+    Windows are pattern start offsets; hits are ``(position, detection
+    mask)`` pairs.
+    """
 
     def __init__(self, netlist: Netlist, shards, observation_nets,
                  patterns: Sequence[Mapping[str, int]],
@@ -355,6 +488,13 @@ class _PlaneSimJob(_ShardJob):
         program, _ = plane_program(compiled)
         return program
 
+    def _windows(self) -> Sequence[int]:
+        return range(0, len(self.patterns), self.word_size)
+
+    @staticmethod
+    def _hit_positions(hits) -> Iterable[int]:
+        return (position for position, _det in hits)
+
     def _window_planes(self, start: int):
         memo = self._window_memo.get(start)
         if memo is None:
@@ -364,38 +504,33 @@ class _PlaneSimJob(_ShardJob):
             self._window_memo[start] = memo
         return memo
 
-    def run_window(self, task):
-        """task = (shard id, fault positions, window start) ->
-        (shard id, [(fault position, detection mask), ...])."""
-        shard_id, positions, start = task
-        self.prepare()
+    def _window_hits(self, table: SiteTable, positions, start: int) -> list:
         g1, g0, frozen, mask = self._window_planes(start)
-        shard = self.shards[shard_id]
-        sites = self._sites
-        specs = self._specs
-        items = [(sites[shard[position]], specs[shard[position]].stuck_value)
+        items = [(table[position][0], table[position][1].stuck_value)
                  for position in positions]
         dets = self._kernel.detect_planes(self._compiled, items, g1, g0,
                                           frozen, mask, self._obs_flags)
         prev_planes = None  # previous window's (g1, g0, width), lazily built
         hits = []
         for position, det in zip(positions, dets):
-            fault = shard[position]
-            spec = specs[fault]
+            site, spec = table[position]
             if det and spec.frames > 1:
                 if prev_planes is None and start > 0:
                     p1, p0, _, _ = self._window_planes(
                         start - self.word_size)
                     prev_planes = (p1, p0, self.word_size)
-                det &= pair_allowed_mask(self._compiled, sites[fault], spec,
+                det &= pair_allowed_mask(self._compiled, site, spec,
                                          g1, g0, mask, prev=prev_planes)
             if det:
                 hits.append((position, det))
-        return shard_id, hits
+        return hits
 
 
 class _WordGradeJob(_ShardJob):
-    """Sharded counterpart of ``FaultGrader.grade`` (two-valued words)."""
+    """Sharded counterpart of ``FaultGrader.grade`` (two-valued words).
+
+    Windows are indexes into ``windows``; hits are detected positions.
+    """
 
     def __init__(self, netlist: Netlist, shards, observation_nets,
                  windows: Sequence[Tuple[Mapping[str, int], int]],
@@ -406,6 +541,9 @@ class _WordGradeJob(_ShardJob):
     def _build_program(self, compiled: CompiledNetlist):
         return word_program(compiled)
 
+    def _windows(self) -> Sequence[int]:
+        return range(len(self.windows))
+
     def _window_words(self, window_index: int):
         memo = self._window_memo.get(window_index)
         if memo is None:
@@ -415,34 +553,25 @@ class _WordGradeJob(_ShardJob):
             self._window_memo[window_index] = memo
         return memo
 
-    def run_window(self, task):
-        """task = (shard id, fault positions, window index) ->
-        (shard id, [fault position, ...])."""
-        shard_id, positions, window_index = task
-        self.prepare()
+    def _window_hits(self, table: SiteTable, positions,
+                     window_index: int) -> list:
         good, word_mask = self._window_words(window_index)
-        shard = self.shards[shard_id]
-        sites = self._sites
-        specs = self._specs
         prev = None  # previous window's (good words, width), lazily built
         items = []
         for position in positions:
-            fault = shard[position]
-            spec = specs[fault]
+            site, spec = table[position]
             allowed = None
             if spec.frames > 1:
                 if prev is None and window_index > 0:
                     prev_good, _ = self._window_words(window_index - 1)
                     prev = (prev_good, self.windows[window_index - 1][1])
-                allowed = pair_allowed_words(self._compiled, sites[fault],
-                                             spec, good, word_mask,
-                                             prev=prev)
-            items.append((sites[fault], spec.stuck_value, allowed))
+                allowed = pair_allowed_words(self._compiled, site, spec,
+                                             good, word_mask, prev=prev)
+            items.append((site, spec.stuck_value, allowed))
         verdicts = self._kernel.detect_words(self._compiled, items, good,
                                              word_mask, self._obs_flags)
-        hits = [position for position, hit in zip(positions, verdicts)
+        return [position for position, hit in zip(positions, verdicts)
                 if hit]
-        return shard_id, hits
 
 
 class _DetectClassifyJob:
@@ -730,29 +859,30 @@ class ShardedFaultSimulator:
                     observation_nets, kernel_name) -> FaultSimResult:
         """Work-stealing run over a persistent pool.
 
-        One job (the full fault tuple as a single shard) is installed once
-        per content key; cone-affine chunks pull pattern windows through
-        the pool's deque, and each chunk advances to its next window as
-        soon as its current one merges — fault dropping propagates
-        mid-round instead of at a round barrier.  Each fault lives in
-        exactly one chunk and every chunk walks the windows in order, so
-        verdicts and detecting-pattern indices are byte-identical to
-        serial whatever order workers steal chunks in.
+        One job (the population's :class:`SiteTable` as a single shard) is
+        installed once per content key; each cone-affine chunk is one
+        task that walks every pattern window inside the worker, dropping
+        its detected faults as it goes.  Each fault lives in exactly one
+        chunk and every chunk walks the windows in order, so verdicts and
+        detecting-pattern indices are byte-identical to serial whatever
+        order workers steal chunks in.
         """
-        from repro.runtime import (build_chunks, content_key,
-                                   default_chunk_size, share_patterns)
+        from repro.runtime import (content_key, share_patterns,
+                                   simulation_chunk_size)
 
         fault_tuple = tuple(fault_list)
         chunk_size = (self.chunk if self.chunk is not None
-                      else default_chunk_size(pool.workers, len(fault_tuple)))
-        chunks = build_chunks(self.netlist, fault_list, chunk_size,
-                              compiled=compiled)
+                      else simulation_chunk_size(pool.workers,
+                                                 len(fault_tuple),
+                                                 PLANE_LANES))
+        plan = _pool_plan(compiled, fault_tuple)
+        chunks = plan.chunks(compiled, chunk_size)
         key = content_key("planesim", self.netlist, kernel_name,
                           self.word_size, tuple(sorted(observation_nets)),
-                          fault_tuple, list(patterns))
+                          plan.digest, list(patterns))
 
         def build():
-            job = _PlaneSimJob(self.netlist, (fault_tuple,),
+            job = _PlaneSimJob(self.netlist, (plan.table,),
                                observation_nets, patterns, self.word_size,
                                kernel=kernel_name)
             if kernel_name == "numpy":
@@ -766,43 +896,30 @@ class ShardedFaultSimulator:
         frontier = DetectionFrontier()
         self.last_frontier = frontier
         result = FaultSimResult()
-        n_patterns = len(patterns)
-        remaining = {cid: list(positions)
-                     for cid, positions in enumerate(chunks)}
+        dropped: Set[int] = set()
         with pool.session(key) as run:
-            for cid, positions in enumerate(chunks):
-                if positions and n_patterns:
-                    run.submit("run_window", (0, tuple(positions), 0),
-                               tag=cid)
-            for cid, task, outcome in run.results():
-                start = task[2]
-                _shard_id, hits = outcome
-                dropped = set()
-                for position, det in hits:
-                    fault = fault_tuple[position]
-                    result.detected.add(fault)
-                    if drop:
-                        # First detecting pattern of the window.
-                        pattern_index = start + (det & -det).bit_length() - 1
-                        dropped.add(position)
-                    else:
-                        # Keep simulating; later windows overwrite with the
-                        # *last* detecting pattern, like the serial engine.
-                        pattern_index = start + det.bit_length() - 1
-                    result.detecting_pattern[fault] = pattern_index
-                    frontier.publish(fault, pattern_index)
-                todo = remaining[cid]
-                if dropped:
-                    todo = [position for position in todo
-                            if position not in dropped]
-                    remaining[cid] = todo
-                next_start = start + self.word_size
-                if todo and next_start < n_patterns:
-                    run.submit("run_window", (0, tuple(todo), next_start),
-                               tag=cid)
-        for todo in remaining.values():
-            result.undetected.update(fault_tuple[position]
-                                     for position in todo)
+            if patterns:
+                for cid, positions in enumerate(chunks):
+                    run.submit("run_chunk", (positions, drop), tag=cid)
+            for _cid, _task, outcome in run.results():
+                for start, hits in outcome:
+                    for position, det in hits:
+                        fault = fault_tuple[position]
+                        result.detected.add(fault)
+                        if drop:
+                            # First detecting pattern of the window.
+                            pattern_index = (
+                                start + (det & -det).bit_length() - 1)
+                            dropped.add(position)
+                        else:
+                            # Kept simulating; later windows overwrite with
+                            # the *last* detecting pattern, like serial.
+                            pattern_index = start + det.bit_length() - 1
+                        result.detecting_pattern[fault] = pattern_index
+                        frontier.publish(fault, pattern_index)
+        result.undetected.update(fault for position, fault
+                                 in enumerate(fault_tuple)
+                                 if position not in dropped)
         return result
 
 
@@ -901,24 +1018,26 @@ def _pooled_mission_grade(netlist: Netlist, fault_list: List[Fault],
                           compiled: CompiledNetlist) -> Set[Fault]:
     """Work-stealing mission grading over a persistent pool.
 
-    Same chunked-window pipeline as the pooled fault simulator; detections
-    publish ``(fault, window start)`` into the frontier exactly like the
-    sharded path, and a caller-seeded frontier prunes before the first
-    window, so verdicts match the serial grader byte for byte.
+    Same one-task-per-chunk pipeline as the pooled fault simulator;
+    detections publish ``(fault, window start)`` into the frontier exactly
+    like the sharded path, and a caller-seeded frontier prunes before the
+    first window, so verdicts match the serial grader byte for byte.
     """
-    from repro.runtime import (build_chunks, content_key,
-                               default_chunk_size, share_windows)
+    from repro.runtime import (content_key, share_windows,
+                               simulation_chunk_size)
 
     fault_tuple = tuple(fault_list)
     chunk_size = (chunk if chunk is not None
-                  else default_chunk_size(pool.workers, len(fault_tuple)))
-    chunks = build_chunks(netlist, fault_list, chunk_size, compiled=compiled)
+                  else simulation_chunk_size(pool.workers, len(fault_tuple),
+                                             WORD_LANES))
+    plan = _pool_plan(compiled, fault_tuple)
+    chunks = plan.chunks(compiled, chunk_size)
     key = content_key("wordgrade", netlist, kernel_name,
-                      tuple(sorted(observation_nets)), fault_tuple,
+                      tuple(sorted(observation_nets)), plan.digest,
                       list(windows))
 
     def build():
-        job = _WordGradeJob(netlist, (fault_tuple,), observation_nets,
+        job = _WordGradeJob(netlist, (plan.table,), observation_nets,
                             windows, kernel=kernel_name)
         if kernel_name == "numpy":
             shared = share_windows(job.windows)
@@ -930,37 +1049,22 @@ def _pooled_mission_grade(netlist: Netlist, fault_list: List[Fault],
     pool.ensure_job(key, build)
     frontier = frontier if frontier is not None else DetectionFrontier()
     detected: Set[Fault] = set()
-    n_windows = len(windows)
     published = (frontier.detected()
                  if drop_detected and len(frontier) else {})
-    remaining: Dict[int, List[int]] = {}
     with pool.session(key) as run:
         for cid, positions in enumerate(chunks):
-            todo = [position for position in positions
-                    if fault_tuple[position] not in published] \
-                if published else list(positions)
-            remaining[cid] = todo
-            if todo and n_windows:
-                run.submit("run_window", (0, tuple(todo), 0), tag=cid)
-        for cid, task, outcome in run.results():
-            window_index = task[2]
-            _shard_id, hits = outcome
-            todo = remaining[cid]
-            if hits:
+            if published:
+                positions = tuple(position for position in positions
+                                  if fault_tuple[position] not in published)
+            if positions and windows:
+                run.submit("run_chunk", (positions, drop_detected), tag=cid)
+        for _cid, _task, outcome in run.results():
+            for window_index, hits in outcome:
                 start = window_index * word_size
                 hit_faults = [fault_tuple[position] for position in hits]
                 detected.update(hit_faults)
                 frontier.publish_many((fault, start)
                                       for fault in hit_faults)
-                if drop_detected:
-                    hit_set = set(hits)
-                    todo = [position for position in todo
-                            if position not in hit_set]
-                    remaining[cid] = todo
-            next_window = window_index + 1
-            if todo and next_window < n_windows:
-                run.submit("run_window", (0, tuple(todo), next_window),
-                           tag=cid)
     return detected
 
 

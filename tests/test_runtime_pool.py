@@ -18,7 +18,9 @@ Three contracts under test:
 
 from __future__ import annotations
 
+import io
 import os
+import pickle
 import random
 import signal
 import time
@@ -333,6 +335,99 @@ class TestStealOrderIdentity:
         assert pooled.detected == serial.detected
         assert pooled.undetected == serial.undetected
         assert pooled.detecting_pattern == serial.detecting_pattern
+
+
+# --------------------------------------------------------------------- #
+# what the pooled simulation jobs ship, and caller-seeded frontiers
+# --------------------------------------------------------------------- #
+class _NoFaultUnpickler(pickle.Unpickler):
+    """Refuses every ``repro.faults`` class but the interned spec type."""
+
+    def find_class(self, module, name):
+        if module.startswith("repro.faults") and name != "InjectionSpec":
+            raise pickle.UnpicklingError(f"{module}.{name} in a job payload")
+        return super().find_class(module, name)
+
+
+def _guarded_load(payload: bytes):
+    return _NoFaultUnpickler(io.BytesIO(payload)).load()
+
+
+@pytest.fixture(scope="module")
+def tiny_captured(tiny_soc):
+    from repro.sbst.monitor import ToggleMonitor
+    from repro.sbst.program_gen import generate_sbst_suite
+
+    return ToggleMonitor(tiny_soc.cpu).run_suite(
+        generate_sbst_suite(tiny_soc.config.cpu))
+
+
+class TestSimulationPayloads:
+    def test_guard_refuses_faults(self, tiny_faults):
+        with pytest.raises(pickle.UnpicklingError, match="repro.faults"):
+            _guarded_load(pickle.dumps(tiny_faults[:2], protocol=4))
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_installed_payloads_hold_no_faults(self, tiny_cpu, tiny_faults,
+                                               transition_faults,
+                                               tiny_patterns, tiny_captured,
+                                               kernel):
+        from repro.sbst.grading import FaultGrader
+
+        pool = WorkerPool(2)
+        try:
+            FaultGrader(tiny_cpu, jobs=2, pool=pool,
+                        kernel=kernel).grade(tiny_captured,
+                                             tiny_faults[::3])
+            ShardedFaultSimulator(tiny_cpu, jobs=2, pool=pool,
+                                  kernel=kernel).run(
+                transition_faults[::5][:80], tiny_patterns)
+            job_keys = [key for key in pool._objects
+                        if not key.startswith("net:")]
+            assert sorted(key.split(":")[0] for key in job_keys) == [
+                "planesim", "wordgrade"]
+            for key in job_keys:
+                job = _guarded_load(pool._payload(key))
+                assert all(type(table).__name__ == "SiteTable"
+                           for table in job.shards)
+        finally:
+            pool.close()
+
+    def test_pooled_grade_honours_a_seeded_frontier(self, tiny_cpu,
+                                                    tiny_faults,
+                                                    tiny_captured):
+        from repro.sbst.grading import FaultGrader
+        from repro.simulation.sharded import (DetectionFrontier,
+                                              sharded_mission_grade)
+
+        grader = FaultGrader(tiny_cpu)
+        serial = grader.grade(tiny_captured, tiny_faults)
+        # Pre-publish a third of the serial detections (with a sentinel
+        # pattern index) and one fault serial never detects.
+        seeded = sorted(serial, key=str)[::3]
+        undetected = next(f for f in tiny_faults if f not in serial)
+        seed = [(fault, -1) for fault in seeded] + [(undetected, -1)]
+
+        def graded(frontier, **knobs):
+            return sharded_mission_grade(
+                tiny_cpu, tiny_faults, tiny_captured,
+                observation_nets=grader.simulator.observation_nets,
+                frontier=frontier, **knobs)
+
+        reference_frontier = DetectionFrontier()
+        reference_frontier.publish_many(seed)
+        reference = graded(reference_frontier, jobs=1, backend="serial")
+        pool = WorkerPool(2)
+        try:
+            for chunk in (None, 5):
+                frontier = DetectionFrontier()
+                frontier.publish_many(seed)
+                pooled = graded(frontier, jobs=2, pool=pool, chunk=chunk)
+                assert pooled == reference == serial - set(seeded)
+                assert frontier.detected() == reference_frontier.detected()
+                assert set(frontier.detected()) == serial | {undetected}
+        finally:
+            pool.close()
 
 
 # --------------------------------------------------------------------- #

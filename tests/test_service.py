@@ -9,6 +9,8 @@ golden capture.
 
 from __future__ import annotations
 
+import socket
+import struct
 import threading
 import time
 from pathlib import Path
@@ -58,6 +60,20 @@ class ServiceHarness:
     def join(self, timeout: float = 10.0) -> bool:
         self._thread.join(timeout=timeout)
         return not self._thread.is_alive()
+
+    def wait_listener_closed(self, timeout: float = 10.0) -> bool:
+        """Block until the service has closed its listening socket.
+
+        ``shutdown`` replies before the listener closes, so a request sent
+        right after it races the close; waiting here pins which side of
+        the close the next request lands on.
+        """
+        deadline = time.monotonic() + timeout
+        while self.service._server.is_serving():
+            if time.monotonic() >= deadline:
+                return False
+            time.sleep(0.005)
+        return True
 
 
 #: Named gates the echo runner blocks on — spec values must survive the
@@ -193,6 +209,33 @@ class TestOps:
         with pytest.raises(ServiceUnavailable):
             client.ping()
 
+    @pytest.mark.parametrize("read_request", (True, False))
+    def test_reset_after_connect_raises_unavailable(self, read_request):
+        """A peer that resets an accepted connection — after reading the
+        request or before — is an unavailable service, not a raw
+        ``ConnectionResetError``/``BrokenPipeError``."""
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def reset_one():
+            conn, _ = listener.accept()
+            with conn:
+                if read_request:
+                    conn.makefile("rb").readline()
+                # Linger 0: close() sends RST instead of FIN.
+                conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                struct.pack("ii", 1, 0))
+
+        server = threading.Thread(target=reset_one, daemon=True)
+        server.start()
+        try:
+            client = ServiceClient(port=listener.getsockname()[1],
+                                   timeout=5.0)
+            with pytest.raises(ServiceUnavailable):
+                client.ping()
+        finally:
+            server.join(timeout=5)
+            listener.close()
+
 
 # --------------------------------------------------------------------- #
 # admission control
@@ -307,6 +350,9 @@ class TestShutdown:
             client = harness.client()
             slow = client.submit("analyze", {"gate": "drain"})
             assert client.shutdown(drain=True)["state"] == "draining"
+            # The listener closes just after that reply; wait for it so the
+            # request below meets the same service state on every run.
+            assert harness.wait_listener_closed(timeout=10)
             # New work is refused while draining (a structured rejection if
             # the listener still answers, a refused connection once closed).
             with pytest.raises(ServiceError) as excinfo:
@@ -318,6 +364,21 @@ class TestShutdown:
             assert harness.join(timeout=10)
             manager = harness.service.manager
             assert manager.get(slow["id"]).state.value == "done"
+
+    def test_draining_listener_refuses_with_structured_error(self):
+        """The other side of the close: a drain that has stopped admissions
+        while the listener still answers refuses with a structured
+        ``shutting_down`` error, and the admitted job still finishes."""
+        with ServiceHarness(runner=echo_runner) as harness:
+            client = harness.client()
+            slow = client.submit("analyze", {"gate": "drain-open"})
+            harness.service.manager.begin_drain()
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit("analyze", {})
+            assert not isinstance(excinfo.value, ServiceUnavailable)
+            assert excinfo.value.code == protocol.ERR_SHUTTING_DOWN
+            gate("drain-open").set()
+            assert client.wait(slow["id"], timeout=10)["state"] == "done"
 
     def test_abort_cancels_queued_jobs(self):
         with ServiceHarness(runner=echo_runner) as harness:
