@@ -18,7 +18,7 @@ same quantities for the pure-Python engine on the synthetic core:
   equality against the int kernel enforced
   (``full_fault_grading_numpy``; skipped when numpy is not installed),
 * since the portfolio PR — serial reference PODEM against the
-  ``podem-restart`` backend fanned over process shards at ``--jobs 4``
+  ``podem-restart`` backend fanned over an ephemeral pool at ``--jobs 4``
   on a cone-bounded fault sample (``atpg_portfolio``), with verdict
   agreement outside the abort boundary enforced,
 * since the runtime PR — cold-spawn vs warm-pool round-trip latency of
@@ -245,7 +245,7 @@ def test_runtime_transition_fault_sim(runtime_soc):
     serial_result = sim.run(faults, patterns)
     serial_seconds = time.perf_counter() - start
 
-    sharded = ShardedFaultSimulator(manipulated, jobs=2, backend="process")
+    sharded = ShardedFaultSimulator(manipulated, jobs=2)
     sharded_result = sharded.run(faults, patterns)
     assert sharded_result.detected == serial_result.detected
     assert sharded_result.undetected == serial_result.undetected
@@ -273,7 +273,7 @@ def test_runtime_full_fault_grading_sharded(runtime_soc):
 
     Four configurations grade the complete stuck-at population against the
     captured SBST patterns — int and numpy kernel, each serial and sharded
-    at ``jobs=4`` on the process backend — with detected-set equality
+    at ``jobs=4`` on an ephemeral worker pool — with detected-set equality
     enforced across all of them.  Each kernel records its serial and
     parallel wall clock as explicit sub-entries of its own stage
     (``full_fault_grading`` / ``full_fault_grading_numpy``), so the CI
@@ -292,8 +292,7 @@ def test_runtime_full_fault_grading_sharded(runtime_soc):
     faults = generate_fault_list(runtime_soc.cpu).faults()
 
     def graded(kernel: str, jobs: int):
-        grader = (FaultGrader(runtime_soc.cpu, jobs=jobs, backend="process",
-                              kernel=kernel)
+        grader = (FaultGrader(runtime_soc.cpu, jobs=jobs, kernel=kernel)
                   if jobs > 1 else FaultGrader(runtime_soc.cpu, kernel=kernel))
         start = time.perf_counter()
         detected = grader.grade(patterns, faults)
@@ -534,7 +533,7 @@ def test_runtime_static_prune(runtime_soc):
 
 def test_runtime_atpg_portfolio(runtime_soc):
     """The ATPG portfolio: serial reference PODEM vs ``podem-restart``
-    fanned over process shards at ``--jobs 4``.
+    fanned over an ephemeral worker pool at ``--jobs 4``.
 
     ATPG cost on date13 is dominated by a tail of huge-fanout-cone faults
     (a single search can run ~150s regardless of the backtrack budget —
@@ -549,15 +548,16 @@ def test_runtime_atpg_portfolio(runtime_soc):
     the classic search, so a DT <-> UU contradiction would be a real
     bug), and the parallel run must detect/abort exactly what its
     verdicts say.  The >= 2x speedup pin arms on date13 when the machine
-    has at least 4 cores — process sharding cannot beat a GIL-free
+    has at least 4 cores — a process pool cannot beat a GIL-free
     serial walk on a single-core CI box, which still records honest
     numbers (and the core count) into ``BENCH_latest.json``.
     """
     from repro.atpg.engine import AtpgEffort
     from repro.faults.categories import FaultClass
     from repro.netlist.compiled import get_compiled
-    from repro.simulation.sharded import (cone_representative, resolve_site,
-                                          sharded_classify)
+    from repro.runtime.scheduler import cone_representative
+    from repro.simulation.fault_sim import resolve_site
+    from repro.simulation.sharded import sharded_classify
 
     netlist = runtime_soc.cpu
     population = generate_fault_list(netlist).faults()
@@ -580,13 +580,13 @@ def test_runtime_atpg_portfolio(runtime_soc):
     kw = dict(effort=AtpgEffort.FULL, random_patterns=0, backtrack_limit=24)
 
     start = time.perf_counter()
-    serial_report = sharded_classify(netlist, sample, jobs=1,
-                                     backend="serial", **kw)
+    serial_report = StructuralUntestabilityEngine(netlist, **kw).classify(
+        sample)
     serial_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
     parallel_report = sharded_classify(
-        netlist, sample, jobs=4, backend="process",
+        netlist, sample, jobs=4,
         atpg_backend="podem-restart", atpg_seed=2013, **kw)
     parallel_seconds = time.perf_counter() - start
 

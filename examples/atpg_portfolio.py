@@ -5,7 +5,7 @@ The classification engines generate tests through a portfolio of
 backends (:mod:`repro.atpg.portfolio`): the classic ``podem`` reference,
 ``podem-restart`` (staged backtrack budgets with a seeded
 randomized-restart decision ordering — deterministic per fault, so it
-shards across worker backends without moving a verdict) and ``dalg``
+fans out over the worker pool without moving a verdict) and ``dalg``
 (PODEM primary plus a five-valued D-algorithm escalation tier that turns
 aborted AU faults into proven UU/DT where the search completes).
 

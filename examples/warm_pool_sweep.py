@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """One warm worker pool, many runs: the persistent parallel runtime.
 
-``--jobs N`` forks worker processes; ``pool="persistent"`` decides how
-long they live.  This example builds one :class:`repro.Session` whose
+``--jobs N`` runs on a pool of worker processes; ``pool="persistent"``
+keeps that pool alive across calls instead of opening one per call.  This example builds one :class:`repro.Session` whose
 :class:`~repro.api.RunOptions` pin the persistent pool, then pushes a
 two-axis scenario sweep through it:
 
@@ -12,8 +12,7 @@ two-axis scenario sweep through it:
 * **every later** scenario against the same netlist lands on warm
   workers — its setup is a worker-side cache hit measured in
   microseconds (watch ``install_hits`` climb), and the work-stealing
-  scheduler hands out small cone-affine fault chunks instead of
-  static shards.
+  scheduler hands out small cone-affine fault chunks.
 
 Verdicts and Table I are byte-identical to the serial engine either
 way — the pool is a runtime knob, not a cache facet.

@@ -31,12 +31,13 @@ Three subcommands mirror the Session/Design API:
     intentionally)::
 
         python -m repro corpus
-        python -m repro corpus --jobs 2 --backend process
+        python -m repro corpus --jobs 2
         python -m repro corpus --update --only tiny_full
 
-``analyze``, ``sweep`` and ``corpus`` accept ``--jobs N`` (plus
-``--backend serial|thread|process``) to shard the fault-population
-engines across workers — results are identical to the serial run.  The
+``analyze``, ``sweep`` and ``corpus`` accept ``--jobs N`` (plus ``--pool
+ephemeral|persistent`` and ``--chunk N``) to spread the fault-population
+engines over a work-stealing worker pool — results are identical to the
+serial run.  The
 same three subcommands accept ``--kernel auto|int|numpy`` to pick the
 simulation kernel (:mod:`repro.simulation.kernels`; also available as a
 scenario axis: ``--axis kernel=int,numpy``) — kernels are byte-identical
@@ -93,7 +94,6 @@ from repro.faults.categories import source_label
 from repro.faults.models import fault_model_names
 from repro.pipeline import DEFAULT_REGISTRY
 from repro.simulation.kernels import KERNEL_CHOICES, kernel_info
-from repro.simulation.sharded import SHARD_BACKENDS
 from repro.soc.config import SoCConfig
 
 COMMANDS = ("analyze", "sweep", "report", "corpus", "static",
@@ -136,27 +136,24 @@ def _add_endpoint_arguments(parser: argparse.ArgumentParser,
 
 
 def _add_sharding_arguments(parser: argparse.ArgumentParser) -> None:
-    """The fault-population sharding knobs shared by several subcommands."""
+    """The fault-population parallelism knobs shared by several subcommands."""
     parser.add_argument(
         "--jobs", type=int, default=None, metavar="N",
-        help=("shard the fault-population engines over N workers "
-              "(identical results; default: serial)"))
-    parser.add_argument(
-        "--backend", default=None, choices=list(SHARD_BACKENDS),
-        help=("worker backend for --jobs (default: process where fork is "
-              "available, else thread)"))
+        help=("run the fault-population engines on a work-stealing pool "
+              "of N worker processes (identical results; default: serial)"))
     parser.add_argument(
         "--pool", default=None, choices=["persistent", "ephemeral"],
-        help=("worker-pool lifecycle for --jobs: 'persistent' keeps one "
-              "warm pool (with installed netlists and job state) across "
-              "calls, 'ephemeral' spins workers per call (identical "
-              "results; default: ephemeral)"))
+        help=("worker-pool lifetime for --jobs: 'ephemeral' opens a pool "
+              "per engine call and closes it on return, 'persistent' keeps "
+              "one warm pool (with installed netlists and job state) "
+              "across calls (identical results; default: ephemeral)"))
     parser.add_argument(
         "--chunk", type=int, default=None, metavar="N",
-        help=("work-stealing chunk size (faults per stolen task) for the "
-              "persistent pool; a grading task walks every pattern "
-              "window of its chunk (identical results; default: auto — "
-              "lane-width chunks for grading, <= 64 for classification)"))
+        help=("work-stealing chunk size (faults per stolen task) for --jobs, "
+              "under either pool lifetime; a grading task walks every "
+              "pattern window of its chunk (identical results; default: "
+              "auto — lane-width chunks for grading and random-effort "
+              "classification, <= 64 for ATPG classification)"))
 
 
 def _add_kernel_argument(parser: argparse.ArgumentParser) -> None:
@@ -489,7 +486,7 @@ def _cmd_analyze(args) -> int:
     session = Session(parallel_passes=args.parallel,
                       options=RunOptions(
                           effort=args.effort, jobs=args.jobs,
-                          shard_backend=args.backend, kernel=args.kernel,
+                          kernel=args.kernel,
                           fault_model=args.fault_model,
                           static_prune=args.static_prune,
                           store=args.store,
@@ -562,8 +559,7 @@ def _cmd_sweep(args) -> int:
 
     session = Session(executor=args.executor, max_workers=args.workers,
                       options=RunOptions(
-                          jobs=args.jobs, shard_backend=args.backend,
-                          kernel=args.kernel,
+                          jobs=args.jobs, kernel=args.kernel,
                           fault_model=args.fault_model,
                           static_prune=args.static_prune,
                           store=args.store,
@@ -608,7 +604,6 @@ def _cmd_sweep(args) -> int:
 def _cmd_corpus(args) -> int:
     try:
         outcomes = run_corpus(args.dir, jobs=args.jobs,
-                              shard_backend=args.backend,
                               kernel=args.kernel,
                               update=args.update, only=args.only or None,
                               fault_model=args.fault_model,

@@ -18,10 +18,11 @@ builds every scenario, runs the full identification flow and byte-compares
 the rendered Table I against the golden capture; with ``update=True`` it
 rewrites the captures instead (the intentional-refresh workflow).
 
-Because sharded execution is verdict-identical by design, the corpus is the
+Because pooled execution is verdict-identical by design, the corpus is the
 end-to-end regression net for :mod:`repro.simulation.sharded`: CI runs it
-serially *and* with ``--jobs 2`` on the process backend and fails on any
-diff.  ``python -m repro corpus`` is the command-line entry point.
+serially *and* with ``--jobs 2`` on ephemeral and persistent pools and
+fails on any diff.  ``python -m repro corpus`` is the command-line entry
+point.
 """
 
 from __future__ import annotations
@@ -183,7 +184,6 @@ def render_entry(entry: CorpusEntry, session=None) -> str:
 def run_corpus(directory: Union[str, Path] = DEFAULT_CORPUS_DIR, *,
                session=None,
                jobs: Optional[int] = None,
-               shard_backend: Optional[str] = None,
                kernel: Optional[str] = None,
                update: bool = False,
                only: Optional[Sequence[str]] = None,
@@ -196,8 +196,8 @@ def run_corpus(directory: Union[str, Path] = DEFAULT_CORPUS_DIR, *,
                chunk: Optional[int] = None) -> List[CorpusOutcome]:
     """Run (or refresh) the corpus; one outcome per entry, sorted by name.
 
-    ``jobs``/``shard_backend``/``kernel`` configure fault-population
-    sharding and the simulation kernel for the underlying analyses — the
+    ``jobs``/``pool``/``chunk``/``kernel`` configure fault-population
+    parallelism and the simulation kernel for the underlying analyses — the
     whole point of the corpus is that they must not move a single byte of
     any capture (an entry pinning its own ``"kernel"`` overrides the
     run-level spec for that entry).  ``fault_model`` restricts the
@@ -241,7 +241,7 @@ def run_corpus(directory: Union[str, Path] = DEFAULT_CORPUS_DIR, *,
 
     if session is None:
         session = Session(options=RunOptions(
-            jobs=jobs, shard_backend=shard_backend, kernel=kernel,
+            jobs=jobs, kernel=kernel,
             static_prune=static_prune, static_learning=static_prune,
             store=store, atpg_backend=atpg_backend, atpg_seed=atpg_seed,
             pool=pool, chunk=chunk))

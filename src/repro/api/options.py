@@ -1,9 +1,9 @@
 """One frozen bundle for every per-run knob: :class:`RunOptions`.
 
-Six PRs of plumbing grew seven scattered keywords (``jobs``,
-``shard_backend``, ``kernel``, ``fault_model``, ``static_prune``,
-``store``, ``effort``) across ``Session(...)``, ``Session.analyze(...)``
-and the process-executor boundary; the ATPG portfolio adds two more
+Six PRs of plumbing grew scattered keywords (``jobs``, ``kernel``,
+``fault_model``, ``static_prune``, ``store``, ``effort``) across
+``Session(...)``, ``Session.analyze(...)`` and the process-executor
+boundary; the ATPG portfolio adds two more
 (``atpg_backend``, ``atpg_seed``).  :class:`RunOptions` consolidates them:
 
 * ``Session(options=RunOptions(...))`` and ``analyze(options=...)`` accept
@@ -60,7 +60,7 @@ class RunOptions:
     """Every per-run knob, normalized, in one frozen picklable value.
 
     Construction validates each field eagerly (unknown efforts, fault
-    models, kernels, shard backends and ATPG backends raise the same
+    models, kernels, pool modes and ATPG backends raise the same
     errors as the keywords they replace), so a bad bundle fails at the
     call site, not deep inside a worker process.
     """
@@ -68,7 +68,6 @@ class RunOptions:
     effort: Union[AtpgEffort, str, None] = None
     fault_model: Optional[str] = None
     jobs: Optional[int] = None
-    shard_backend: Optional[str] = None
     kernel: Optional[str] = None
     static_prune: Optional[bool] = None
     static_learning: Optional[bool] = None
@@ -89,12 +88,6 @@ class RunOptions:
                 resolve_fault_model(self.fault_model).name)
         if self.jobs is not None:
             object.__setattr__(self, "jobs", int(self.jobs))
-        if self.shard_backend is not None:
-            from repro.simulation.sharded import resolve_backend
-
-            object.__setattr__(
-                self, "shard_backend",
-                resolve_backend(self.shard_backend, 1))
         if self.kernel is not None:
             from repro.simulation.kernels import normalize_kernel
 

@@ -111,7 +111,6 @@ class Session:
                  flow_config: Optional[FlowConfig] = None,
                  parallel_passes: Union[bool, int] = False,
                  jobs: Optional[int] = None,
-                 shard_backend: Optional[str] = None,
                  kernel: Optional[str] = None,
                  fault_model: Union[str, FaultModel, None] = None,
                  static_prune: Optional[bool] = None,
@@ -123,8 +122,7 @@ class Session:
         #: field wins over its legacy twin).
         self.options = fold_legacy_kwargs(
             "Session", options,
-            store=store, effort=effort, jobs=jobs,
-            shard_backend=shard_backend, kernel=kernel,
+            store=store, effort=effort, jobs=jobs, kernel=kernel,
             fault_model=fault_model, static_prune=static_prune,
             static_learning=static_learning)
         # A persistent pool mode keeps the sweep executor's process pool
@@ -163,10 +161,6 @@ class Session:
     @property
     def jobs(self) -> Optional[int]:
         return self.options.jobs
-
-    @property
-    def shard_backend(self) -> Optional[str]:
-        return self.options.shard_backend
 
     @property
     def kernel(self) -> Optional[str]:
@@ -230,8 +224,8 @@ class Session:
         and fold into it.  Results are memoised per pass in the session
         cache, so re-analyzing the same design (or a structural clone, or
         a variant that only changes facets a pass does not read) replays
-        instead of recomputing.  ``jobs`` > 1 shards the fault population
-        across workers (identical results, see
+        instead of recomputing.  ``jobs`` > 1 spreads the fault population
+        over a worker pool (identical results, see
         :mod:`repro.simulation.sharded`).
         """
         call = fold_legacy_kwargs(
@@ -394,16 +388,9 @@ class Session:
             flow_config = _replace(flow_config, jobs=call.jobs)
         elif self.jobs is not None and flow_config.jobs == 1:
             flow_config = _replace(flow_config, jobs=self.jobs)
-        # Shard backend / simulation kernel: explicit per-call wins, the
+        # Simulation kernel / pool / chunk: explicit per-call wins, the
         # session default fills in only when the config carries none
         # (runtime knobs, never cache facets).
-        if call.shard_backend is not None:
-            flow_config = _replace(flow_config,
-                                   shard_backend=call.shard_backend)
-        elif (self.shard_backend is not None
-                and flow_config.shard_backend is None):
-            flow_config = _replace(flow_config,
-                                   shard_backend=self.shard_backend)
         if call.kernel is not None:
             flow_config = _replace(flow_config, kernel=call.kernel)
         elif (self.kernel is not None
@@ -517,7 +504,7 @@ class Session:
         # process boundary (worker sessions are built bare).
         defaults_set = any(
             getattr(self.options, name) is not None
-            for name in ("jobs", "shard_backend", "kernel", "fault_model",
+            for name in ("jobs", "kernel", "fault_model",
                          "static_prune", "static_learning", "atpg_backend",
                          "atpg_seed", "pool", "chunk"))
         flow_config = (self._effective_flow_config(config)

@@ -254,12 +254,13 @@ def run_escalation_phase(netlist: Netlist, faults: List[Fault], *,
 class StructuralUntestabilityEngine:
     """Classifies stuck-at faults of a netlist (TetraMax-style).
 
-    ``jobs`` > 1 shards the fault population across worker processes or
-    threads (:func:`repro.simulation.sharded.sharded_classify`): each shard
-    runs the same phase stack on its cone-aware slice and the merged report
-    carries exactly the serial classifications.  ``backend``/``shards``
-    tune the sharded run; with the default ``jobs=1`` the engine is the
-    serial reference.
+    ``jobs`` > 1 (or any ``pool``) runs the per-fault phases across the
+    work-stealing worker pool
+    (:func:`repro.simulation.sharded.sharded_classify`): each cone-affine
+    chunk runs the same phase stack and the merged report carries exactly
+    the serial classifications.  ``pool`` picks the pool lifetime and
+    ``chunk`` the chunk size; with the default ``jobs=1`` and no pool the
+    engine is the serial reference.
     """
 
     def __init__(self, netlist: Netlist,
@@ -268,8 +269,6 @@ class StructuralUntestabilityEngine:
                  backtrack_limit: int = 200,
                  seed: int = 2013,
                  jobs: int = 1,
-                 backend: Optional[str] = None,
-                 shards: Optional[int] = None,
                  static_prune: bool = True,
                  static_learning: bool = True,
                  kernel: Optional[str] = None,
@@ -283,8 +282,6 @@ class StructuralUntestabilityEngine:
         self.backtrack_limit = backtrack_limit
         self.seed = seed
         self.jobs = max(1, jobs if jobs is not None else 1)
-        self.backend = backend
-        self.shards = shards
         self.static_prune = static_prune
         self.static_learning = static_learning
         self.kernel = kernel
@@ -303,8 +300,7 @@ class StructuralUntestabilityEngine:
 
             return sharded_classify(
                 self.netlist, fault_list, effort=self.effort,
-                jobs=self.jobs, backend=self.backend, shards=self.shards,
-                random_patterns=self.random_patterns,
+                jobs=self.jobs, random_patterns=self.random_patterns,
                 backtrack_limit=self.backtrack_limit, seed=self.seed,
                 static_prune=self.static_prune,
                 static_learning=self.static_learning,

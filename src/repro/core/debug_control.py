@@ -54,7 +54,6 @@ def compute_baseline_untestable(netlist: Netlist,
                                 faults: Optional[Iterable[StuckAtFault]] = None,
                                 effort: AtpgEffort = AtpgEffort.TIE,
                                 jobs: int = 1,
-                                backend: Optional[str] = None,
                                 static_prune: bool = True,
                                 static_learning: bool = True,
                                 kernel: Optional[str] = None,
@@ -66,7 +65,6 @@ def compute_baseline_untestable(netlist: Netlist,
     """Faults untestable in the unmanipulated netlist (structural baseline)."""
     fault_universe = list(faults) if faults is not None else generate_fault_list(netlist).faults()
     engine = StructuralUntestabilityEngine(netlist, effort=effort, jobs=jobs,
-                                           backend=backend,
                                            static_prune=static_prune,
                                            static_learning=static_learning,
                                            kernel=kernel,
@@ -83,7 +81,6 @@ def identify_debug_control_untestable(netlist: Netlist,
                                       baseline_untestable: Optional[Set[StuckAtFault]] = None,
                                       effort: AtpgEffort = AtpgEffort.TIE,
                                       jobs: int = 1,
-                                      backend: Optional[str] = None,
                                       static_prune: bool = True,
                                       static_learning: bool = True,
                                       kernel: Optional[str] = None,
@@ -101,7 +98,7 @@ def identify_debug_control_untestable(netlist: Netlist,
     fault_universe = list(faults) if faults is not None else generate_fault_list(netlist).faults()
     if baseline_untestable is None:
         baseline_untestable = compute_baseline_untestable(
-            netlist, fault_universe, effort, jobs=jobs, backend=backend,
+            netlist, fault_universe, effort, jobs=jobs,
             static_prune=static_prune, static_learning=static_learning,
             kernel=kernel, atpg_backend=atpg_backend, atpg_seed=atpg_seed,
             pool=pool, chunk=chunk)
@@ -114,7 +111,7 @@ def identify_debug_control_untestable(netlist: Netlist,
             tied[port] = value
 
     engine = StructuralUntestabilityEngine(manipulated, effort=effort,
-                                           jobs=jobs, backend=backend,
+                                           jobs=jobs,
                                            static_prune=static_prune,
                                            static_learning=static_learning,
                                            kernel=kernel,

@@ -50,7 +50,6 @@ def identify_debug_observe_untestable(netlist: Netlist,
                                       baseline_untestable: Optional[Set[StuckAtFault]] = None,
                                       effort: AtpgEffort = AtpgEffort.TIE,
                                       jobs: int = 1,
-                                      backend: Optional[str] = None,
                                       static_prune: bool = True,
                                       static_learning: bool = True,
                                       kernel: Optional[str] = None,
@@ -68,7 +67,7 @@ def identify_debug_observe_untestable(netlist: Netlist,
     if baseline_untestable is None:
         from repro.core.debug_control import compute_baseline_untestable
         baseline_untestable = compute_baseline_untestable(
-            netlist, fault_universe, effort, jobs=jobs, backend=backend,
+            netlist, fault_universe, effort, jobs=jobs,
             static_prune=static_prune, static_learning=static_learning,
             kernel=kernel, atpg_backend=atpg_backend, atpg_seed=atpg_seed,
             pool=pool, chunk=chunk)
@@ -82,7 +81,7 @@ def identify_debug_observe_untestable(netlist: Netlist,
             floated.append(port)
 
     engine = StructuralUntestabilityEngine(manipulated, effort=effort,
-                                           jobs=jobs, backend=backend,
+                                           jobs=jobs,
                                            static_prune=static_prune,
                                            static_learning=static_learning,
                                            kernel=kernel,

@@ -64,7 +64,6 @@ def identify_memory_map_untestable(netlist: Netlist,
                                    tie_flop_outputs: bool = True,
                                    tie_flop_inputs: bool = True,
                                    jobs: int = 1,
-                                   backend: Optional[str] = None,
                                    static_prune: bool = True,
                                    static_learning: bool = True,
                                    kernel: Optional[str] = None,
@@ -90,7 +89,7 @@ def identify_memory_map_untestable(netlist: Netlist,
     if baseline_untestable is None:
         from repro.core.debug_control import compute_baseline_untestable
         baseline_untestable = compute_baseline_untestable(
-            netlist, fault_universe, effort, jobs=jobs, backend=backend,
+            netlist, fault_universe, effort, jobs=jobs,
             static_prune=static_prune, static_learning=static_learning,
             kernel=kernel, atpg_backend=atpg_backend, atpg_seed=atpg_seed,
             pool=pool, chunk=chunk)
@@ -132,7 +131,7 @@ def identify_memory_map_untestable(netlist: Netlist,
                         result.tied_nets[data_pin.net.name] = value
 
     engine = StructuralUntestabilityEngine(manipulated, effort=effort,
-                                           jobs=jobs, backend=backend,
+                                           jobs=jobs,
                                            static_prune=static_prune,
                                            static_learning=static_learning,
                                            kernel=kernel,

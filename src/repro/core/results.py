@@ -41,12 +41,12 @@ class FlowConfig:
     run_memory_map: bool = True
     tie_flop_outputs: bool = True   # §3.3 / Fig. 6 ablation knob
     tie_flop_inputs: bool = True
-    # Fault-population sharding (repro.simulation.sharded): worker count
-    # and backend for the classification engines.  jobs=1 is the serial
-    # reference; higher values shard the fault list without changing any
-    # verdict, so jobs is deliberately *not* a cache facet.
+    # Fault-population parallelism (repro.simulation.sharded): worker
+    # count for the classification engines.  jobs=1 is the serial
+    # reference; higher values spread the fault list over the worker pool
+    # without changing any verdict, so jobs is deliberately *not* a cache
+    # facet.
     jobs: int = 1
-    shard_backend: Optional[str] = None
     # Simulation kernel (repro.simulation.kernels): "auto" (None), "int"
     # or "numpy".  Kernels are byte-identical by contract, so like ``jobs``
     # this is a runtime knob, deliberately not a cache facet.
@@ -73,9 +73,9 @@ class FlowConfig:
     # boundary cases (AU vs a definite verdict) may legitimately differ.
     atpg_backend: Optional[str] = None
     atpg_seed: Optional[int] = None
-    # Parallel runtime (repro.runtime): pool lifecycle for the sharded
+    # Parallel runtime (repro.runtime): pool lifetime for the parallel
     # engines ("persistent" reuses one warm worker pool across calls,
-    # None/"ephemeral" keeps the per-call runner) and the work-stealing
+    # None/"ephemeral" opens a pool for each call) and the work-stealing
     # chunk granularity (None = auto).  Like ``jobs``/``kernel`` these are
     # runtime knobs, deliberately *not* cache facets: they can never
     # change what an analysis computes, only how fast.

@@ -113,11 +113,6 @@ class PipelineContext:
         return max(1, getattr(self.config, "jobs", 1) or 1)
 
     @property
-    def shard_backend(self):
-        """Shard backend name (``None`` = pick the best available)."""
-        return getattr(self.config, "shard_backend", None)
-
-    @property
     def kernel(self):
         """Simulation-kernel spec (``None``/"auto" = numpy when available)."""
         return getattr(self.config, "kernel", None)

@@ -123,7 +123,7 @@ def baseline_pass(ctx: PipelineContext) -> PassResult:
     """Faults untestable before manipulation — Table I's "Original" row."""
     baseline = compute_baseline_untestable(
         ctx.netlist, ctx.fault_universe, ctx.effort,
-        jobs=ctx.jobs, backend=ctx.shard_backend,
+        jobs=ctx.jobs,
         static_prune=ctx.static_prune, static_learning=ctx.static_learning,
         kernel=ctx.kernel,
         atpg_backend=ctx.atpg_backend, atpg_seed=ctx.atpg_seed,
@@ -163,7 +163,7 @@ def debug_control_pass(ctx: PipelineContext) -> PassResult:
     ctrl = identify_debug_control_untestable(
         ctx.netlist, faults=ctx.fault_universe,
         baseline_untestable=ctx.baseline_untestable, effort=ctx.effort,
-        jobs=ctx.jobs, backend=ctx.shard_backend,
+        jobs=ctx.jobs,
         static_prune=ctx.static_prune, static_learning=ctx.static_learning,
         kernel=ctx.kernel,
         atpg_backend=ctx.atpg_backend, atpg_seed=ctx.atpg_seed,
@@ -181,7 +181,7 @@ def debug_observe_pass(ctx: PipelineContext) -> PassResult:
     observe = identify_debug_observe_untestable(
         ctx.netlist, faults=ctx.fault_universe,
         baseline_untestable=ctx.baseline_untestable, effort=ctx.effort,
-        jobs=ctx.jobs, backend=ctx.shard_backend,
+        jobs=ctx.jobs,
         static_prune=ctx.static_prune, static_learning=ctx.static_learning,
         kernel=ctx.kernel,
         atpg_backend=ctx.atpg_backend, atpg_seed=ctx.atpg_seed,
@@ -203,7 +203,7 @@ def memory_analysis_pass(ctx: PipelineContext) -> PassResult:
         baseline_untestable=ctx.baseline_untestable, effort=ctx.effort,
         tie_flop_outputs=ctx.config.tie_flop_outputs,
         tie_flop_inputs=ctx.config.tie_flop_inputs,
-        jobs=ctx.jobs, backend=ctx.shard_backend,
+        jobs=ctx.jobs,
         static_prune=ctx.static_prune, static_learning=ctx.static_learning,
         kernel=ctx.kernel,
         atpg_backend=ctx.atpg_backend, atpg_seed=ctx.atpg_seed,

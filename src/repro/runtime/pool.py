@@ -1,9 +1,12 @@
-"""The persistent warm worker pool behind the sharded engines.
+"""The work-stealing worker pool behind every parallel fault engine.
 
-Every ``sharded_*`` call used to spin up a fresh ``ProcessPoolExecutor``,
-re-pickle the netlist + job state into every worker and tear the pool down
-again — fatal once a Session (or the analysis service) runs many rounds
-against the same design.  :class:`WorkerPool` amortizes all of it:
+Every ``--jobs`` run of :mod:`repro.simulation.sharded` executes on a
+:class:`WorkerPool`; the ``pool`` knob only picks its lifetime.
+``"ephemeral"`` (the default) opens a pool for one call and closes it on
+every exit path; ``"persistent"`` borrows the process-global registry pool
+(:func:`get_pool`), which amortizes worker start-up and job installs across
+calls — what a Session or the analysis service running many rounds against
+the same design wants:
 
 workers start once
     A pool owns N long-lived worker processes (``fork`` where available,
@@ -11,12 +14,10 @@ workers start once
     daemonic and die with the parent.
 
 content-addressed installs
-    Job state is installed into workers once per *content key* — the
-    promotion of the old ``_install_job`` run-token mechanism in
-    :mod:`repro.simulation.sharded` into a durable cache keyed like
-    :mod:`repro.store` (sha256 over the netlist signature plus the job
-    configuration).  The netlist itself is installed under its own
-    ``net:<signature>`` key and jobs cross the pipe with a
+    Job state is installed into workers once per *content key*, a durable
+    cache keyed like :mod:`repro.store` (sha256 over the netlist signature
+    plus the job configuration).  The netlist itself is installed under
+    its own ``net:<signature>`` key and jobs cross the pipe with a
     :class:`_NetlistRef` in its place, so ten jobs against one design ship
     the design once.  Bulk pattern data rides zero-copy shared-memory
     segments (:mod:`repro.runtime.shm`) when numpy is available; plain
@@ -26,7 +27,9 @@ parent-side work stealing
     Tasks are dispatched dynamically: the parent keeps a shared deque of
     pending chunks and feeds each worker a small prefetch window, so a
     worker that finishes early immediately pulls the next chunk — LPT at
-    chunk granularity without static partitioning.
+    chunk granularity without static partitioning.  Workers ship results
+    from a thread of their own, so a large result never blocks the worker
+    from reading the large task the parent is handing it.
 
 graceful degradation
     A worker that dies mid-round (OOM-killed, ``kill -9``) is detected by
@@ -36,8 +39,8 @@ graceful degradation
     event instead of the round hanging.
 
 Determinism note: the pool never reorders *verdict-relevant* work — the
-schedulers built on top (:mod:`repro.runtime.scheduler` and the pooled
-paths of :mod:`repro.simulation.sharded`) keep each fault in exactly one
+schedulers built on top (:mod:`repro.runtime.scheduler` and the drivers
+of :mod:`repro.simulation.sharded`) keep each fault in exactly one
 chunk, and a simulation chunk walks its pattern windows in order inside
 one task, which is what keeps results byte-identical to serial under any
 steal order.  ``jitter_seed``
@@ -50,6 +53,7 @@ import atexit
 import itertools
 import os
 import pickle
+import queue
 import threading
 import time
 import traceback
@@ -83,7 +87,7 @@ class PoolClosedError(RuntimeError):
 
 
 def resolve_pool_mode(pool: object) -> Optional[str]:
-    """Validate a pool spec string; ``None`` stays None (ephemeral path)."""
+    """Validate a pool spec string; ``None`` stays None (ephemeral)."""
     if pool is None or isinstance(pool, WorkerPool):
         return pool  # type: ignore[return-value]
     name = str(pool).strip().lower()
@@ -137,9 +141,32 @@ def _revive(obj: Any, state: Dict[str, Any]) -> Any:
     return obj
 
 
+def _ship_results(conn, outbox: "queue.SimpleQueue") -> None:
+    """Send queued results to the parent until the ``None`` sentinel.
+
+    Runs on its own thread so the worker loop never blocks on a send: a
+    large result waiting for a busy parent must not stop the worker from
+    reading the large task the parent is blocked handing it.
+    """
+    while True:
+        message = outbox.get()
+        if message is None:
+            return
+        try:
+            conn.send(message)
+        except (OSError, ValueError):
+            return  # the parent is gone; the loop sees EOF next
+        except Exception:  # noqa: BLE001 - e.g. an unpicklable result
+            outbox.put(("err", message[1], traceback.format_exc()))
+
+
 def _worker_main(conn, worker_id: int, jitter_seed: Optional[int]) -> None:
     """Long-lived worker loop: installs state, executes tasks, until EOF."""
     state: Dict[str, Any] = {}
+    outbox: "queue.SimpleQueue" = queue.SimpleQueue()
+    shipper = threading.Thread(target=_ship_results, args=(conn, outbox),
+                               daemon=True)
+    shipper.start()
     while True:
         try:
             message = conn.recv()
@@ -172,15 +199,11 @@ def _worker_main(conn, worker_id: int, jitter_seed: Optional[int]) -> None:
                     f"install of {key!r} failed in worker:\n{job.text}")
             result = getattr(job, method)(task)
         except BaseException:  # noqa: BLE001 - shipped to the parent
-            try:
-                conn.send(("err", seq, traceback.format_exc()))
-            except (OSError, ValueError):
-                break
+            outbox.put(("err", seq, traceback.format_exc()))
         else:
-            try:
-                conn.send(("ok", seq, result))
-            except (OSError, ValueError):
-                break
+            outbox.put(("ok", seq, result))
+    outbox.put(None)
+    shipper.join()
     try:
         conn.close()
     except OSError:  # pragma: no cover
@@ -583,8 +606,14 @@ class _PoolSession:
 
     def __enter__(self) -> _RunHandle:
         self._pool._lock.acquire()
-        self._pool._check_open()
-        self._pool._ensure_started()
+        try:
+            self._pool._check_open()
+            self._pool._ensure_started()
+        except BaseException:
+            # __exit__ never runs when __enter__ raises: release here, or
+            # every later close()/ensure_job() would wait on the lock.
+            self._pool._lock.release()
+            raise
         self._handle = _RunHandle(self._pool, self._key)
         return self._handle
 

@@ -1,11 +1,10 @@
 """Cone-affine chunk construction for the work-stealing fault scheduler.
 
-The static partitioner (:func:`repro.simulation.sharded.partition_faults`)
-cuts the population into one slice per worker before the run starts; a
-worker that draws a monster cone then strands the rest of the pool behind
-it.  The pooled paths instead cut the population into many *small* chunks
-pulled dynamically from the parent's deque (:mod:`repro.runtime.pool`), so
-load balance emerges at runtime:
+Every parallel run of :mod:`repro.simulation.sharded` cuts its fault
+population into many *small* chunks pulled dynamically from the parent's
+queue (:mod:`repro.runtime.pool`), so load balance emerges at runtime
+instead of being fixed up front — a worker that draws a monster cone never
+strands the rest of the pool behind a static slice:
 
 - faults sharing a fanout cone stay in one chunk (cone affinity — the
   workers' per-window good-machine memo and cone walks stay hot);
@@ -18,13 +17,15 @@ load balance emerges at runtime:
   matter which worker steals which chunk.
 
 Chunks are tuples of *positions* into the caller's fault list, ascending
-within each chunk (matching the shard convention).
+within each chunk.
 
 Two sizing rules: classification (per-fault ATPG, expensive) keeps small
-chunks (:func:`default_chunk_size`, at most 64 faults), while pooled
-fault simulation (:func:`simulation_chunk_size`) cuts ~8 chunks per worker
+chunks (:func:`default_chunk_size`, at most 64 faults), while fault
+simulation (:func:`simulation_chunk_size`) cuts ~8 chunks per worker
 and never fewer faults than fill the numpy kernel's lane width, because
 each simulation chunk is one task that walks every pattern window.
+Random-effort classification is fault simulation too (no ATPG search)
+and takes the simulation rule.
 """
 
 from __future__ import annotations
@@ -77,13 +78,27 @@ def simulation_chunk_size(workers: int, n_items: int, lanes: int) -> int:
     return max(1, int(lanes), per_worker)
 
 
+def cone_representative(compiled: CompiledNetlist, site: Tuple) -> int:
+    """The stem net whose fanout cone a resolved fault site perturbs.
+
+    ``-1`` for inert/phantom sites (no cone at all).  Faults with the same
+    representative share their simulation cone, which is why the planner
+    keeps them in one chunk.
+    """
+    if site[0] == "net":
+        return site[1]
+    if site[0] == "branch":
+        for out in compiled.op_fanout[site[1]]:
+            if out >= 0:
+                return out
+    return -1
+
+
 def plan_chunks(compiled: CompiledNetlist, sites: Sequence[Tuple],
                 chunk_size: int) -> List[Tuple[int, ...]]:
     """:func:`build_chunks` over already-resolved fault sites."""
     if not sites:
         return []
-    from repro.simulation.sharded import cone_representative
-
     chunk_size = max(1, int(chunk_size))
     sizes = compiled.fanout_cone_sizes()
     groups: Dict[int, List[int]] = {}

@@ -58,19 +58,19 @@ class FaultGrader:
     simulation for all subsequent windows — the same speed-up the serial
     :class:`~repro.simulation.fault_sim.FaultSimulator` applies per pattern.
 
-    ``jobs`` > 1 switches :meth:`grade` to the cone-aware sharded engine
-    (:mod:`repro.simulation.sharded`): the fault population is partitioned
-    into cone-aware shards graded across worker processes/threads, with
-    per-window verdicts merged through a shared detection frontier.  The
-    detected-fault set is identical to the serial path; ``backend`` and
-    ``shards`` tune how the shards run (defaults: best available backend,
-    four shards per worker).
+    ``jobs`` > 1 (or any ``pool``) switches :meth:`grade` to the parallel
+    engine (:func:`repro.simulation.sharded.sharded_mission_grade`): the
+    fault population is cut into cone-affine chunks graded across the
+    work-stealing worker pool.  The detected-fault set is identical to the
+    serial path; ``pool`` picks the pool lifetime (``None``/"ephemeral":
+    one pool per call, "persistent": the shared warm pool, or a
+    :class:`~repro.runtime.pool.WorkerPool` instance) and ``chunk`` the
+    chunk size (``None`` = auto).
     """
 
     def __init__(self, netlist: Netlist, observe_state_inputs: bool = True,
                  word_size: int = 64, drop_detected: bool = True,
-                 jobs: int = 1, backend: Optional[str] = None,
-                 shards: Optional[int] = None,
+                 jobs: int = 1,
                  fault_model: "Union[str, FaultModel, None]" = None,
                  kernel: Optional[str] = None,
                  pool=None,
@@ -85,8 +85,6 @@ class FaultGrader:
         self.word_size = word_size
         self.drop_detected = drop_detected
         self.jobs = max(1, jobs if jobs is not None else 1)
-        self.backend = backend
-        self.shards = shards
         self.pool = pool
         self.chunk = chunk
         #: Model used to enumerate the default fault universe when a grade
@@ -128,8 +126,7 @@ class FaultGrader:
                 self.netlist, fault_universe, patterns,
                 observation_nets=self.simulator.observation_nets,
                 word_size=self.word_size, drop_detected=self.drop_detected,
-                jobs=self.jobs, backend=self.backend, shards=self.shards,
-                kernel=self.simulator.kernel.name,
+                jobs=self.jobs, kernel=self.simulator.kernel.name,
                 pool=self.pool, chunk=self.chunk)
         windows = pattern_windows(patterns, self.word_size)
         return self.simulator.run_windows(fault_universe, windows,

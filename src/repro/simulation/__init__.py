@@ -8,8 +8,8 @@ from repro.simulation.kernels import (KERNEL_CHOICES, IntKernel, NumpyKernel,
                                       normalize_kernel, numpy_available,
                                       reset_kernel_state)
 from repro.simulation.parallel import ParallelPatternSimulator
-from repro.simulation.sharded import (DetectionFrontier, FaultShard,
-                                      ShardedFaultSimulator, partition_faults,
+from repro.simulation.sharded import (DetectionFrontier,
+                                      ShardedFaultSimulator,
                                       sharded_classify, sharded_mission_grade)
 
 __all__ = [
@@ -20,8 +20,6 @@ __all__ = [
     "ParallelPatternSimulator",
     "ShardedFaultSimulator",
     "DetectionFrontier",
-    "FaultShard",
-    "partition_faults",
     "sharded_classify",
     "sharded_mission_grade",
     "KERNEL_CHOICES",

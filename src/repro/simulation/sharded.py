@@ -1,64 +1,53 @@
-"""Cone-aware sharded execution over the collapsed fault population.
+"""Parallel fault simulation, mission grading and classification.
 
-The paper's core loop — classify every stuck-at fault of an embedded core
-as on-line functionally untestable or not — is embarrassingly parallel over
-the fault list.  This module partitions a fault population into *shards*
-that respect the circuit structure and runs fault simulation, mission-mode
-fault grading and untestability classification across worker backends:
+The paper's core loop — classify every fault of an embedded core as
+on-line functionally untestable or not, then grade the self-test suite
+against the population — is embarrassingly parallel over the fault list:
+every verdict is per-fault.  This module fans that work out over the
+work-stealing worker pool of :mod:`repro.runtime`:
 
-partitioning (:func:`partition_faults`)
-    Faults are grouped by the *cone representative* of their injection
-    site (the stem net whose transitive fanout cone the fault perturbs),
-    so faults sharing a cone always land in the same shard, and the groups
-    are balanced over shards by estimated simulation cost — the memoised
-    fanout-cone size of the representative net
-    (:meth:`~repro.netlist.compiled.CompiledNetlist.fanout_cone_sizes`)
-    times the group population.  Shard assignment is deterministic:
-    identical inputs produce identical shards in identical order.
+pool lifetime (the ``pool`` knob)
+    ``None``/``"ephemeral"`` runs the call on a fresh
+    :class:`~repro.runtime.pool.WorkerPool` of ``jobs`` workers that is
+    closed on every exit path of the call; ``"persistent"`` borrows the
+    process-global registry pool for that worker count, and a
+    caller-supplied ``WorkerPool`` is borrowed as-is.  Both lifetimes
+    honour ``REPRO_POOL_START_METHOD`` (``fork``/``spawn``).
 
-backends
-    ``serial`` (in-process, the reference), ``thread`` (a thread pool —
-    API parity and overlap, the analyses are pure Python so raw speed-up
-    is limited by the GIL) and ``process`` (a process pool; on platforms
-    with ``fork`` the workers inherit the prepared job state — netlist,
-    compiled IR, resolved fault sites — for free, elsewhere the job is
-    pickled once per worker).
+cone-affine chunks
+    The parent resolves every fault site once (:class:`SiteTable`) and cuts
+    the population into chunks that keep faults sharing a fanout cone
+    together (:func:`repro.runtime.scheduler.plan_chunks`); idle workers
+    steal the next chunk from the parent's queue.  A simulation chunk is
+    one task that walks every pattern window in order, dropping its
+    detected faults as it goes.  Each fault lives in exactly one chunk, so
+    verdicts and detecting-pattern indices are **byte-identical** to the
+    serial :class:`~repro.simulation.fault_sim.FaultSimulator` and
+    :class:`~repro.sbst.grading.FaultGrader` whatever order the chunks are
+    stolen in.
 
 detection frontier (:class:`DetectionFrontier`)
-    Per-shard detection verdicts merge through a shared frontier after
-    every pattern-window round.  Fault dropping therefore keeps pruning
-    work across shards and rounds: a fault detected in round *k* is never
-    re-simulated in round *k+1*, a drained shard stops being dispatched,
-    and the whole run stops as soon as every fault is detected.
+    Detections publish ``fault -> pattern index`` into a frontier; a
+    caller-seeded frontier prunes its faults before the first window.
 
 simulation kernels
-    Workers dispatch fault detection through the pluggable kernel layer
-    (:mod:`repro.simulation.kernels`): the int oracle's event-driven cone
-    walk, or the numpy backend's batched multi-fault matrix sweep.  Jobs
-    carry the *resolved* kernel name (the scheduler freezes ``auto`` to a
-    concrete backend before shipping), and every kernel is
-    verdict-identical by contract, so detection results — and the
-    recorded detecting patterns — stay **byte-identical** to the serial
-    :class:`~repro.simulation.fault_sim.FaultSimulator` and
-    :class:`~repro.sbst.grading.FaultGrader` paths, which the golden
-    scenario corpus enforces end-to-end in CI.
+    Jobs carry the *resolved* kernel name (``auto`` is frozen to a concrete
+    backend of :mod:`repro.simulation.kernels` before shipping), and every
+    kernel is verdict-identical by contract, which the golden scenario
+    corpus enforces end-to-end in CI.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-import multiprocessing
+import contextlib
 import os
 import pickle
 import threading
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass
 from hashlib import sha256
-from typing import (Dict, Iterable, List, Mapping, Optional, Sequence, Set,
-                    Tuple)
+from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
+                    Sequence, Set, Tuple)
 
 from repro.faults.models import Fault, InjectionSpec, resolve_injection
 from repro.netlist.compiled import CompiledNetlist, get_compiled
@@ -71,9 +60,6 @@ from repro.simulation.parallel import (compute_good_words,
                                        pair_allowed_words, word_program)
 from repro.simulation.simulator import plane_program
 from repro.utils.bitvec import mask as bitmask
-
-#: Backend names accepted by every sharded entry point.
-SHARD_BACKENDS = ("serial", "thread", "process")
 
 _oversubscribe_warned = False
 
@@ -112,137 +98,51 @@ def _reset_oversubscription_warning() -> None:
     _oversubscribe_warned = False
 
 
-def resolve_backend(backend: Optional[str], jobs: int) -> str:
-    """Pick/validate a shard backend; ``None`` selects the best available."""
-    if backend is None:
-        if jobs <= 1:
-            return "serial"
-        return ("process"
-                if "fork" in multiprocessing.get_all_start_methods()
-                else "thread")
-    name = str(backend).strip().lower()
-    if name not in SHARD_BACKENDS:
-        known = ", ".join(SHARD_BACKENDS)
-        raise ValueError(
-            f"unknown shard backend {backend!r}; expected one of: {known}")
-    return name
+def _pool_scope(pool, jobs: int):
+    """The worker pool a call runs on, as a context manager.
 
-
-def _resolve_pool(pool, jobs: int):
-    """Map the ``pool`` knob onto a live worker pool, or ``None``.
-
-    ``None``/``"ephemeral"`` select the legacy per-call :class:`_ShardRunner`;
-    ``"persistent"`` resolves to the process-global registry pool for this
-    worker count (honouring ``REPRO_POOL_START_METHOD`` so CI can force
-    ``spawn``); a :class:`~repro.runtime.pool.WorkerPool` instance is used
-    as-is.  When a pool is selected it *is* the execution backend — the
-    ``backend`` knob only governs the ephemeral path.
+    A :class:`~repro.runtime.pool.WorkerPool` instance and
+    ``"persistent"`` (the registry pool for ``jobs`` workers) are
+    borrowed: the context leaves them open.  ``None``/``"ephemeral"``
+    yield a fresh ``WorkerPool(jobs)`` owned by the call, which its
+    ``__exit__`` closes whether the call returns or raises.
     """
     from repro.runtime.pool import WorkerPool, get_pool, resolve_pool_mode
 
     if isinstance(pool, WorkerPool):
-        return pool
-    mode = resolve_pool_mode(pool)
-    if mode == "persistent":
-        return get_pool(jobs,
-                        os.environ.get("REPRO_POOL_START_METHOD") or None)
-    return None
+        return contextlib.nullcontext(pool)
+    start_method = os.environ.get("REPRO_POOL_START_METHOD") or None
+    if resolve_pool_mode(pool) == "persistent":
+        return contextlib.nullcontext(get_pool(jobs, start_method))
+    return WorkerPool(jobs, start_method=start_method)
 
 
-# --------------------------------------------------------------------- #
-# cone-aware partitioning
-# --------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class FaultShard:
-    """One deterministic slice of the fault population."""
+def _fan_out(pool, key: str, method: str,
+             tasks: Sequence) -> Iterator[Tuple[int, object]]:
+    """Run ``job.method(task)`` for every task on ``pool``'s job ``key``.
 
-    index: int
-    faults: Tuple[Fault, ...]
-    cost: int
-
-
-def cone_representative(compiled: CompiledNetlist, site: Tuple) -> int:
-    """The stem net whose fanout cone a resolved fault site perturbs.
-
-    ``-1`` for inert/phantom sites (no cone at all).  Faults with the same
-    representative share their simulation cone, which is why the
-    partitioner keeps them in one shard.
+    Yields ``(task index, result)`` in completion order; no tasks, no
+    session (so an ephemeral pool never starts its workers for nothing).
     """
-    if site[0] == "net":
-        return site[1]
-    if site[0] == "branch":
-        for out in compiled.op_fanout[site[1]]:
-            if out >= 0:
-                return out
-    return -1
-
-
-def partition_faults(netlist: Netlist, faults: Iterable[Fault],
-                     n_shards: int,
-                     compiled: Optional[CompiledNetlist] = None
-                     ) -> List[FaultShard]:
-    """Split ``faults`` into at most ``n_shards`` cone-aware shards.
-
-    Faults are grouped by cone representative, the groups are balanced
-    over shards greedily by descending estimated cost (cone size x group
-    population, longest-processing-time first), and every shard lists its
-    faults in the original population order.  The result is deterministic
-    for a given (netlist, fault order, shard count).
-    """
-    fault_list = list(faults)
-    if compiled is None:
-        compiled = get_compiled(netlist)
-    n_shards = max(1, int(n_shards))
-    if n_shards == 1 or len(fault_list) <= 1:
-        return [FaultShard(0, tuple(fault_list), len(fault_list))]
-
-    sizes = compiled.fanout_cone_sizes()
-    groups: Dict[int, List[int]] = {}
-    for position, fault in enumerate(fault_list):
-        rep = cone_representative(compiled, resolve_site(compiled, fault))
-        groups.setdefault(rep, []).append(position)
-
-    def group_cost(rep: int, members: List[int]) -> int:
-        per_fault = sizes[rep] + 1 if rep >= 0 else 1
-        return per_fault * len(members)
-
-    ordered = sorted(groups.items(),
-                     key=lambda item: (-group_cost(*item), item[0]))
-    n_shards = min(n_shards, len(ordered))
-    loads = [(0, index) for index in range(n_shards)]
-    heapq.heapify(loads)
-    bins: List[List[int]] = [[] for _ in range(n_shards)]
-    bin_costs = [0] * n_shards
-    for rep, members in ordered:
-        load, index = heapq.heappop(loads)
-        bins[index].extend(members)
-        cost = group_cost(rep, members)
-        bin_costs[index] += cost
-        heapq.heappush(loads, (load + cost, index))
-
-    shards = []
-    for index, members in enumerate(bins):
-        if not members:
-            continue
-        members.sort()
-        shards.append(FaultShard(len(shards),
-                                 tuple(fault_list[p] for p in members),
-                                 bin_costs[index]))
-    return shards
+    if not tasks:
+        return
+    with pool.session(key) as run:
+        for index, task in enumerate(tasks):
+            run.submit(method, task, tag=index)
+        for index, _task, outcome in run.results():
+            yield index, outcome
 
 
 # --------------------------------------------------------------------- #
 # the shared detection frontier
 # --------------------------------------------------------------------- #
 class DetectionFrontier:
-    """Merge point for per-shard detection verdicts.
+    """Merge point for detection verdicts.
 
-    Shards publish ``fault -> detecting pattern index`` entries after each
-    round; the scheduler prunes every later round against the published
-    set — fault dropping survives shard boundaries because the drop
-    decision is taken here, not inside a worker — and stops dispatching
-    drained shards.  Thread-safe, so a live thread backend and the merging
-    scheduler can share one instance.
+    Drivers publish ``fault -> detecting pattern index`` entries as chunk
+    results arrive; a frontier a caller seeds before a grade prunes those
+    faults from every chunk.  Thread-safe, so concurrent callers may share
+    one instance.
     """
 
     def __init__(self) -> None:
@@ -304,7 +204,7 @@ class SiteTable(tuple):
 
 
 class _PoolPlan:
-    """A fault list's pooled-run plan: site table, its digest, chunks.
+    """A fault list's run plan: site table, its digest, chunks.
 
     Built once per fault list and memoised on the compiled IR (see
     :func:`_pool_plan`), so a warm re-grade neither re-resolves sites,
@@ -331,7 +231,7 @@ class _PoolPlan:
         return chunks
 
 
-#: Pooled-run plans kept per compiled netlist (most recent fault lists).
+#: Run plans kept per compiled netlist (most recent fault lists).
 POOL_PLAN_CACHE = 4
 
 _PLAN_LOCK = threading.Lock()
@@ -361,36 +261,29 @@ def _pool_plan(compiled: CompiledNetlist,
 # worker-side jobs
 # --------------------------------------------------------------------- #
 class _ShardJob:
-    """Base class for worker-side job state.
+    """Base class for worker-side simulation job state.
 
-    A job carries everything a worker needs: the netlist, one
-    :class:`SiteTable` per shard (fault tuples passed in are resolved
-    into tables here, in the parent — no ``Fault`` object reaches a
+    A job carries everything a worker needs: the netlist, the
+    population's :class:`SiteTable` (no ``Fault`` object reaches a
     worker), patterns and observation config.  Heavy derived state — the
     compiled IR, evaluator programs, per-window good machines — is built
-    by :meth:`prepare` and **excluded from pickling**: workers on a fork
-    backend inherit it from the parent for free, spawn/pickle workers
-    rebuild it lazily on first use.
+    lazily by :meth:`prepare` on first use and **excluded from
+    pickling**.
 
-    Two task shapes: :meth:`run_window` (one shard, one window — the
-    round-barrier shard runner) and :meth:`run_chunk` (a chunk of
-    positions into shard 0 walked through every window in one task,
-    dropping detected faults as it goes — the work-stealing pool).
+    The task shape is :meth:`run_chunk`: a chunk of table positions walked
+    through every window in one task, dropping detected faults as it goes.
     """
 
     _RUNTIME_ATTRS = ("_prepared", "_compiled", "_program", "_obs_flags",
                       "_window_memo", "_kernel")
 
-    def __init__(self, netlist: Netlist, shards,
+    def __init__(self, netlist: Netlist, table: SiteTable,
                  observation_nets: frozenset,
                  kernel: Optional[str] = None) -> None:
         self.netlist = netlist
-        compiled = get_compiled(netlist)
-        self.shards = tuple(
-            shard if isinstance(shard, SiteTable)
-            else SiteTable.of(compiled, shard) for shard in shards)
+        self.table = table
         self.observation_nets = observation_nets
-        # A picklable kernel *name* (the scheduler resolves "auto" before
+        # A picklable kernel *name* (the driver resolves "auto" before
         # shipping); the kernel object itself is runtime state.
         self.kernel = kernel
         self._prepared = False
@@ -425,13 +318,6 @@ class _ShardJob:
         self._window_memo: Dict[int, tuple] = {}
         self._prepared = True
 
-    def run_window(self, task):
-        """task = (shard id, positions, window) -> (shard id, hits)."""
-        shard_id, positions, window = task
-        self.prepare()
-        return shard_id, self._window_hits(self.shards[shard_id], positions,
-                                           window)
-
     def run_chunk(self, task):
         """task = (positions, drop detected) -> ``[(window, hits), ...]``.
 
@@ -441,13 +327,12 @@ class _ShardJob:
         """
         positions, drop = task
         self.prepare()
-        table = self.shards[0]
         todo = list(positions)
         outcome = []
         for window in self._windows():
             if not todo:
                 break
-            hits = self._window_hits(table, todo, window)
+            hits = self._window_hits(todo, window)
             if hits:
                 outcome.append((window, hits))
                 if drop:
@@ -462,7 +347,7 @@ class _ShardJob:
     def _windows(self) -> Sequence[int]:
         raise NotImplementedError
 
-    def _window_hits(self, table: SiteTable, positions, window) -> list:
+    def _window_hits(self, positions, window) -> list:
         raise NotImplementedError
 
     @staticmethod
@@ -471,16 +356,16 @@ class _ShardJob:
 
 
 class _PlaneSimJob(_ShardJob):
-    """Sharded counterpart of ``FaultSimulator.run`` (three-valued planes).
+    """Parallel counterpart of ``FaultSimulator.run`` (three-valued planes).
 
     Windows are pattern start offsets; hits are ``(position, detection
     mask)`` pairs.
     """
 
-    def __init__(self, netlist: Netlist, shards, observation_nets,
+    def __init__(self, netlist: Netlist, table: SiteTable, observation_nets,
                  patterns: Sequence[Mapping[str, int]],
                  word_size: int, kernel: Optional[str] = None) -> None:
-        super().__init__(netlist, shards, observation_nets, kernel)
+        super().__init__(netlist, table, observation_nets, kernel)
         self.patterns = list(patterns)
         self.word_size = word_size
 
@@ -504,7 +389,8 @@ class _PlaneSimJob(_ShardJob):
             self._window_memo[start] = memo
         return memo
 
-    def _window_hits(self, table: SiteTable, positions, start: int) -> list:
+    def _window_hits(self, positions, start: int) -> list:
+        table = self.table
         g1, g0, frozen, mask = self._window_planes(start)
         items = [(table[position][0], table[position][1].stuck_value)
                  for position in positions]
@@ -527,15 +413,15 @@ class _PlaneSimJob(_ShardJob):
 
 
 class _WordGradeJob(_ShardJob):
-    """Sharded counterpart of ``FaultGrader.grade`` (two-valued words).
+    """Parallel counterpart of ``FaultGrader.grade`` (two-valued words).
 
     Windows are indexes into ``windows``; hits are detected positions.
     """
 
-    def __init__(self, netlist: Netlist, shards, observation_nets,
+    def __init__(self, netlist: Netlist, table: SiteTable, observation_nets,
                  windows: Sequence[Tuple[Mapping[str, int], int]],
                  kernel: Optional[str] = None) -> None:
-        super().__init__(netlist, shards, observation_nets, kernel)
+        super().__init__(netlist, table, observation_nets, kernel)
         self.windows = list(windows)
 
     def _build_program(self, compiled: CompiledNetlist):
@@ -553,13 +439,12 @@ class _WordGradeJob(_ShardJob):
             self._window_memo[window_index] = memo
         return memo
 
-    def _window_hits(self, table: SiteTable, positions,
-                     window_index: int) -> list:
+    def _window_hits(self, positions, window_index: int) -> list:
         good, word_mask = self._window_words(window_index)
         prev = None  # previous window's (good words, width), lazily built
         items = []
         for position in positions:
-            site, spec = table[position]
+            site, spec = self.table[position]
             allowed = None
             if spec.frames > 1:
                 if prev is None and window_index > 0:
@@ -575,23 +460,22 @@ class _WordGradeJob(_ShardJob):
 
 
 class _DetectClassifyJob:
-    """Sharded detection phases (random patterns + PODEM) of the engine.
+    """Per-fault detection phases (random patterns + ATPG) of the engine.
 
-    The netlist-global tied-value fixpoint runs *once* in the scheduler;
-    workers only see the faults it left unclassified and run the strictly
-    per-fault detection phases on their shard.
+    The netlist-global tied-value fixpoint runs *once* in the driver;
+    workers only see the faults it left unclassified.  Fault chunks ride
+    inside each task instead of the installed job, so one job (keyed by
+    configuration only) serves every fault subset of the same netlist —
+    warm re-use across calls.
     """
 
-    def __init__(self, netlist: Netlist,
-                 shards: Tuple[Tuple[Fault, ...], ...],
-                 effort, random_patterns: int, backtrack_limit: int,
-                 seed: int, static_prune: bool = True,
+    def __init__(self, netlist: Netlist, effort, random_patterns: int,
+                 backtrack_limit: int, seed: int, static_prune: bool = True,
                  static_learning: bool = True,
                  kernel: Optional[str] = None,
                  atpg_backend: Optional[str] = None,
                  atpg_seed: Optional[int] = None) -> None:
         self.netlist = netlist
-        self.shards = shards
         self.effort = effort
         self.random_patterns = random_patterns
         self.backtrack_limit = backtrack_limit
@@ -602,153 +486,32 @@ class _DetectClassifyJob:
         self.atpg_backend = atpg_backend
         self.atpg_seed = atpg_seed
 
-    def prepare(self) -> None:
-        # The phases build their own derived state; compiling the netlist
-        # here lets fork workers inherit the shared IR.
-        get_compiled(self.netlist)
-
-    def __getstate__(self):
-        return self.__dict__.copy()
-
-    def run_shard(self, task):
-        """task = (shard id,) -> (shard id, classifications, phase
-        runtimes, stats, patterns)."""
+    def run_faults(self, faults):
+        """Primary phases over a fault chunk -> (classifications,
+        patterns, phase runtimes, stats)."""
         from repro.atpg.engine import run_detection_phases
 
-        (shard_id,) = task
         classifications, phase_runtimes, stats, patterns = \
             run_detection_phases(
-                self.netlist, list(self.shards[shard_id]), self.effort,
+                self.netlist, list(faults), self.effort,
                 random_patterns=self.random_patterns,
                 backtrack_limit=self.backtrack_limit, seed=self.seed,
                 static_prune=self.static_prune,
                 static_learning=self.static_learning,
                 kernel=self.kernel,
                 atpg_backend=self.atpg_backend, atpg_seed=self.atpg_seed)
-        return shard_id, classifications, phase_runtimes, stats, patterns
+        return classifications, patterns, phase_runtimes, stats
 
-    def run_faults(self, task):
-        """task = (chunk id, fault tuple) -> same shape as :meth:`run_shard`.
-
-        The work-stealing pool ships fault chunks inside the task instead
-        of baking shard slices into the installed job, so one installed
-        job (keyed by configuration only) serves every fault subset of the
-        same netlist — warm re-use across calls.
-        """
-        from repro.atpg.engine import run_detection_phases
-
-        chunk_id, chunk_faults = task
-        classifications, phase_runtimes, stats, patterns = \
-            run_detection_phases(
-                self.netlist, list(chunk_faults), self.effort,
-                random_patterns=self.random_patterns,
-                backtrack_limit=self.backtrack_limit, seed=self.seed,
-                static_prune=self.static_prune,
-                static_learning=self.static_learning,
-                kernel=self.kernel,
-                atpg_backend=self.atpg_backend, atpg_seed=self.atpg_seed)
-        return chunk_id, classifications, phase_runtimes, stats, patterns
-
-    def run_escalation(self, task):
-        """task = (shard id, fault tuple) — one slice of the merged abort
-        frontier -> (shard id, improvements, patterns, runtimes, stats)."""
+    def run_escalation(self, faults):
+        """Escalation tier over a slice of the merged abort frontier ->
+        (improvements, patterns, phase runtimes, stats)."""
         from repro.atpg.engine import run_escalation_phase
 
-        shard_id, shard_faults = task
-        improvements, patterns, phase_runtimes, stats = run_escalation_phase(
-            self.netlist, list(shard_faults),
+        return run_escalation_phase(
+            self.netlist, list(faults),
             backtrack_limit=self.backtrack_limit, seed=self.seed,
             static_learning=self.static_learning,
             atpg_backend=self.atpg_backend, atpg_seed=self.atpg_seed)
-        return shard_id, improvements, patterns, phase_runtimes, stats
-
-
-# --------------------------------------------------------------------- #
-# backend plumbing
-# --------------------------------------------------------------------- #
-#: Worker-side registry of installed jobs, keyed by a run token.  On a
-#: fork backend the parent installs the job *before* the pool exists, so
-#: children inherit it; on spawn backends the pool initializer installs a
-#: pickled copy once per worker.
-_WORKER_JOBS: Dict[int, object] = {}
-_JOB_TOKENS = itertools.count(1)
-
-
-def _install_job(token: int, job: object) -> None:
-    _WORKER_JOBS[token] = job
-
-
-def _invoke_worker(token: int, method: str, task) -> object:
-    return getattr(_WORKER_JOBS[token], method)(task)
-
-
-class _ShardRunner:
-    """Maps job methods over task batches on the configured backend."""
-
-    def __init__(self, backend: str, jobs: int) -> None:
-        self.backend = backend
-        self.jobs = max(1, jobs)
-        self._pool = None
-        self._token: Optional[int] = None
-        self._job = None
-
-    def start(self, job) -> "_ShardRunner":
-        job.prepare()
-        self._job = job
-        if self.backend == "process":
-            self._token = next(_JOB_TOKENS)
-            methods = multiprocessing.get_all_start_methods()
-            if "fork" in methods:
-                # Install before the pool forks: children inherit the
-                # prepared job (netlist, compiled IR, sites) copy-on-write.
-                _install_job(self._token, job)
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.jobs,
-                    mp_context=multiprocessing.get_context("fork"))
-            else:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.jobs,
-                    initializer=_install_job,
-                    initargs=(self._token, job))
-        elif self.backend == "thread":
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.jobs, thread_name_prefix="repro-shard")
-        return self
-
-    def map(self, method: str, tasks: Sequence) -> List:
-        """Run ``job.method(task)`` for every task; unordered results."""
-        if not tasks:
-            return []
-        if self._pool is None:  # serial
-            bound = getattr(self._job, method)
-            return [bound(task) for task in tasks]
-        if self.backend == "thread":
-            bound = getattr(self._job, method)
-            return list(self._pool.map(bound, tasks))
-        futures = [self._pool.submit(_invoke_worker, self._token, method,
-                                     task)
-                   for task in tasks]
-        return [future.result() for future in futures]
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-        if self._token is not None:
-            _WORKER_JOBS.pop(self._token, None)
-            self._token = None
-        self._job = None
-
-    def __enter__(self) -> "_ShardRunner":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def default_shard_count(jobs: int, n_faults: int) -> int:
-    """Shards per run: a few per worker for balance, never more than faults."""
-    return max(1, min(jobs * 4, n_faults))
 
 
 # --------------------------------------------------------------------- #
@@ -757,20 +520,16 @@ def default_shard_count(jobs: int, n_faults: int) -> int:
 class ShardedFaultSimulator:
     """Drop-in parallel counterpart of :class:`FaultSimulator.run`.
 
-    Partitions the fault population into cone-aware shards and runs the
-    pattern windows as rounds over an executor backend, merging per-shard
-    verdicts through a :class:`DetectionFrontier` after every round.
     Results — detected/undetected sets *and* the recorded detecting
     pattern indices, under both fault-dropping modes — are byte-identical
-    to the serial compiled engine.
+    to the serial compiled engine.  ``pool``/``chunk`` pick the pool
+    lifetime and the chunk size (``None`` = auto).
     """
 
     def __init__(self, netlist: Netlist, observe_state_inputs: bool = True,
                  state_input_roles: Optional[Sequence[str]] = None,
                  drop_detected: bool = True, word_size: int = 64, *,
                  jobs: Optional[int] = None,
-                 backend: Optional[str] = None,
-                 shards: Optional[int] = None,
                  kernel: Optional[str] = None,
                  pool=None,
                  chunk: Optional[int] = None) -> None:
@@ -781,8 +540,6 @@ class ShardedFaultSimulator:
         self.drop_detected = drop_detected
         self.word_size = word_size
         self.jobs = resolve_jobs(jobs)
-        self.backend = resolve_backend(backend, self.jobs)
-        self.shards = shards
         self.kernel = kernel
         self.pool = pool
         self.chunk = chunk
@@ -791,117 +548,51 @@ class ShardedFaultSimulator:
     def run(self, faults: Iterable[Fault],
             patterns: Sequence[Mapping[str, int]],
             drop_detected: Optional[bool] = None) -> FaultSimResult:
-        drop = self.drop_detected if drop_detected is None else drop_detected
-        fault_list = list(faults)
-        compiled = get_compiled(self.netlist)
-        observation_nets = frozenset(observation_net_names(
-            self.netlist, self.observe_state_inputs, self.state_input_roles))
-        kernel_name = get_kernel(self.kernel).name
-        pool_obj = _resolve_pool(self.pool, self.jobs)
-        if pool_obj is not None:
-            return self._run_pooled(pool_obj, fault_list, patterns, drop,
-                                    compiled, observation_nets, kernel_name)
-        n_shards = (self.shards if self.shards is not None
-                    else default_shard_count(self.jobs, len(fault_list)))
-        shards = partition_faults(self.netlist, fault_list, n_shards,
-                                  compiled=compiled)
-        job = _PlaneSimJob(self.netlist,
-                           tuple(shard.faults for shard in shards),
-                           observation_nets, patterns, self.word_size,
-                           kernel=kernel_name)
+        """Work-stealing run: one task per cone-affine chunk.
 
-        frontier = DetectionFrontier()
-        self.last_frontier = frontier
-        result = FaultSimResult()
-        remaining: List[List[int]] = [list(range(len(shard.faults)))
-                                      for shard in shards]
-
-        with _ShardRunner(self.backend, self.jobs).start(job) as runner:
-            n_patterns = len(patterns)
-            for start in range(0, n_patterns, self.word_size):
-                tasks = [(shard.index, tuple(remaining[shard.index]), start)
-                         for shard in shards if remaining[shard.index]]
-                if not tasks:
-                    break
-                outcomes = sorted(runner.map("run_window", tasks),
-                                  key=lambda item: item[0])
-                for shard_id, hits in outcomes:
-                    shard_faults = shards[shard_id].faults
-                    for position, det in hits:
-                        fault = shard_faults[position]
-                        result.detected.add(fault)
-                        if drop:
-                            # First detecting pattern of the window.
-                            pattern_index = (
-                                start + (det & -det).bit_length() - 1)
-                        else:
-                            # Match the serial reference: keep simulating,
-                            # record the *last* detecting pattern.
-                            pattern_index = start + det.bit_length() - 1
-                        result.detecting_pattern[fault] = pattern_index
-                        frontier.publish(fault, pattern_index)
-                if drop:
-                    # Fault dropping through the frontier: every verdict
-                    # published this round prunes all later rounds.
-                    published = frontier.detected()
-                    for shard in shards:
-                        todo = remaining[shard.index]
-                        if todo:
-                            remaining[shard.index] = [
-                                position for position in todo
-                                if shard.faults[position] not in published]
-        for shard in shards:
-            result.undetected.update(shard.faults[position]
-                                     for position in remaining[shard.index])
-        return result
-
-    def _run_pooled(self, pool, fault_list, patterns, drop, compiled,
-                    observation_nets, kernel_name) -> FaultSimResult:
-        """Work-stealing run over a persistent pool.
-
-        One job (the population's :class:`SiteTable` as a single shard) is
-        installed once per content key; each cone-affine chunk is one
-        task that walks every pattern window inside the worker, dropping
-        its detected faults as it goes.  Each fault lives in exactly one
-        chunk and every chunk walks the windows in order, so verdicts and
-        detecting-pattern indices are byte-identical to serial whatever
-        order workers steal chunks in.
+        One job (the population's :class:`SiteTable`) is installed once
+        per content key; each chunk is one task that walks every pattern
+        window inside the worker, dropping its detected faults as it goes.
         """
         from repro.runtime import (content_key, share_patterns,
                                    simulation_chunk_size)
 
-        fault_tuple = tuple(fault_list)
-        chunk_size = (self.chunk if self.chunk is not None
-                      else simulation_chunk_size(pool.workers,
-                                                 len(fault_tuple),
-                                                 PLANE_LANES))
-        plan = _pool_plan(compiled, fault_tuple)
-        chunks = plan.chunks(compiled, chunk_size)
-        key = content_key("planesim", self.netlist, kernel_name,
-                          self.word_size, tuple(sorted(observation_nets)),
-                          plan.digest, list(patterns))
-
-        def build():
-            job = _PlaneSimJob(self.netlist, (plan.table,),
-                               observation_nets, patterns, self.word_size,
-                               kernel=kernel_name)
-            if kernel_name == "numpy":
-                shared = share_patterns(job.patterns)
-                if shared is not None:
-                    job.patterns = shared
-                    job.shared_payload = shared
-            return job
-
-        pool.ensure_job(key, build)
+        drop = self.drop_detected if drop_detected is None else drop_detected
+        fault_tuple = tuple(faults)
+        compiled = get_compiled(self.netlist)
+        observation_nets = frozenset(observation_net_names(
+            self.netlist, self.observe_state_inputs, self.state_input_roles))
+        kernel_name = get_kernel(self.kernel).name
         frontier = DetectionFrontier()
         self.last_frontier = frontier
         result = FaultSimResult()
         dropped: Set[int] = set()
-        with pool.session(key) as run:
-            if patterns:
-                for cid, positions in enumerate(chunks):
-                    run.submit("run_chunk", (positions, drop), tag=cid)
-            for _cid, _task, outcome in run.results():
+        with _pool_scope(self.pool, self.jobs) as pool:
+            chunk_size = (self.chunk if self.chunk is not None
+                          else simulation_chunk_size(pool.workers,
+                                                     len(fault_tuple),
+                                                     PLANE_LANES))
+            plan = _pool_plan(compiled, fault_tuple)
+            chunks = plan.chunks(compiled, chunk_size) if patterns else []
+            key = content_key("planesim", self.netlist, kernel_name,
+                              self.word_size, tuple(sorted(observation_nets)),
+                              plan.digest, list(patterns))
+
+            def build():
+                job = _PlaneSimJob(self.netlist, plan.table,
+                                   observation_nets, patterns,
+                                   self.word_size, kernel=kernel_name)
+                if kernel_name == "numpy":
+                    shared = share_patterns(job.patterns)
+                    if shared is not None:
+                        job.patterns = shared
+                        job.shared_payload = shared
+                return job
+
+            if chunks:
+                pool.ensure_job(key, build)
+            tasks = [(positions, drop) for positions in chunks]
+            for _index, outcome in _fan_out(pool, key, "run_chunk", tasks):
                 for start, hits in outcome:
                     for position, det in hits:
                         fault = fault_tuple[position]
@@ -929,136 +620,62 @@ def sharded_mission_grade(netlist: Netlist, faults: Iterable[Fault],
                           word_size: int = 64,
                           drop_detected: bool = True,
                           jobs: Optional[int] = None,
-                          backend: Optional[str] = None,
-                          shards: Optional[int] = None,
                           frontier: Optional[DetectionFrontier] = None,
                           kernel: Optional[str] = None,
                           pool=None,
                           chunk: Optional[int] = None) -> Set[Fault]:
-    """Sharded counterpart of :meth:`repro.sbst.grading.FaultGrader.grade`.
+    """Parallel counterpart of :meth:`repro.sbst.grading.FaultGrader.grade`.
 
     ``patterns`` is a :class:`~repro.sbst.monitor.CapturedPatterns`-shaped
     object (``cycles`` + ``controllable_nets``); ``observation_nets`` is
     the exact observation-point set of the serial grader, so verdicts are
-    identical by construction.  Returns the detected-fault set.
+    identical by construction.  Detections publish ``(fault, window
+    start)`` into ``frontier``; faults a caller pre-seeded into it are
+    pruned before the first window.  Returns the detected-fault set.
     """
-    fault_list = list(faults)
-    jobs = resolve_jobs(jobs)
-    backend = resolve_backend(backend, jobs)
-    compiled = get_compiled(netlist)
-
+    from repro.runtime import content_key, share_windows, simulation_chunk_size
     from repro.sbst.monitor import pattern_windows
 
+    fault_tuple = tuple(faults)
+    jobs = resolve_jobs(jobs)
+    compiled = get_compiled(netlist)
+    observation_nets = frozenset(observation_nets)
     windows = pattern_windows(patterns, word_size)
     kernel_name = get_kernel(kernel).name
-
-    pool_obj = _resolve_pool(pool, jobs)
-    if pool_obj is not None:
-        return _pooled_mission_grade(
-            netlist, fault_list, windows,
-            observation_nets=frozenset(observation_nets),
-            word_size=word_size, drop_detected=drop_detected,
-            frontier=frontier, kernel_name=kernel_name, pool=pool_obj,
-            chunk=chunk, compiled=compiled)
-
-    n_shards = (shards if shards is not None
-                else default_shard_count(jobs, len(fault_list)))
-    fault_shards = partition_faults(netlist, fault_list, n_shards,
-                                    compiled=compiled)
-
-    job = _WordGradeJob(netlist, tuple(shard.faults for shard in fault_shards),
-                        frozenset(observation_nets), windows,
-                        kernel=kernel_name)
-    frontier = frontier if frontier is not None else DetectionFrontier()
-    detected: Set[Fault] = set()
-    remaining: List[List[int]] = [list(range(len(shard.faults)))
-                                  for shard in fault_shards]
-
-    with _ShardRunner(backend, jobs).start(job) as runner:
-        if drop_detected and len(frontier):
-            # A caller-seeded frontier prunes before the first round too.
-            published = frontier.detected()
-            for shard in fault_shards:
-                remaining[shard.index] = [
-                    position for position in remaining[shard.index]
-                    if shard.faults[position] not in published]
-        for window_index in range(len(windows)):
-            tasks = [(shard.index, tuple(remaining[shard.index]),
-                      window_index)
-                     for shard in fault_shards if remaining[shard.index]]
-            if not tasks:
-                break
-            start = window_index * word_size
-            for shard_id, hits in sorted(runner.map("run_window", tasks),
-                                         key=lambda item: item[0]):
-                if not hits:
-                    continue
-                shard_faults = fault_shards[shard_id].faults
-                detected.update(shard_faults[position] for position in hits)
-                frontier.publish_many(
-                    (shard_faults[position], start) for position in hits)
-            if drop_detected:
-                # Fault dropping through the frontier — including entries a
-                # caller pre-seeded to skip already-detected faults.
-                published = frontier.detected()
-                for shard in fault_shards:
-                    todo = remaining[shard.index]
-                    if todo:
-                        remaining[shard.index] = [
-                            position for position in todo
-                            if shard.faults[position] not in published]
-    return detected
-
-
-def _pooled_mission_grade(netlist: Netlist, fault_list: List[Fault],
-                          windows, *, observation_nets: frozenset,
-                          word_size: int, drop_detected: bool,
-                          frontier: Optional[DetectionFrontier],
-                          kernel_name: str, pool, chunk: Optional[int],
-                          compiled: CompiledNetlist) -> Set[Fault]:
-    """Work-stealing mission grading over a persistent pool.
-
-    Same one-task-per-chunk pipeline as the pooled fault simulator;
-    detections publish ``(fault, window start)`` into the frontier exactly
-    like the sharded path, and a caller-seeded frontier prunes before the
-    first window, so verdicts match the serial grader byte for byte.
-    """
-    from repro.runtime import (content_key, share_windows,
-                               simulation_chunk_size)
-
-    fault_tuple = tuple(fault_list)
-    chunk_size = (chunk if chunk is not None
-                  else simulation_chunk_size(pool.workers, len(fault_tuple),
-                                             WORD_LANES))
-    plan = _pool_plan(compiled, fault_tuple)
-    chunks = plan.chunks(compiled, chunk_size)
-    key = content_key("wordgrade", netlist, kernel_name,
-                      tuple(sorted(observation_nets)), plan.digest,
-                      list(windows))
-
-    def build():
-        job = _WordGradeJob(netlist, (plan.table,), observation_nets,
-                            windows, kernel=kernel_name)
-        if kernel_name == "numpy":
-            shared = share_windows(job.windows)
-            if shared is not None:
-                job.windows = shared
-                job.shared_payload = shared
-        return job
-
-    pool.ensure_job(key, build)
     frontier = frontier if frontier is not None else DetectionFrontier()
     detected: Set[Fault] = set()
     published = (frontier.detected()
                  if drop_detected and len(frontier) else {})
-    with pool.session(key) as run:
-        for cid, positions in enumerate(chunks):
-            if published:
-                positions = tuple(position for position in positions
-                                  if fault_tuple[position] not in published)
-            if positions and windows:
-                run.submit("run_chunk", (positions, drop_detected), tag=cid)
-        for _cid, _task, outcome in run.results():
+    with _pool_scope(pool, jobs) as pool:
+        chunk_size = (chunk if chunk is not None
+                      else simulation_chunk_size(pool.workers,
+                                                 len(fault_tuple),
+                                                 WORD_LANES))
+        plan = _pool_plan(compiled, fault_tuple)
+        chunks = plan.chunks(compiled, chunk_size) if windows else []
+        key = content_key("wordgrade", netlist, kernel_name,
+                          tuple(sorted(observation_nets)), plan.digest,
+                          list(windows))
+
+        def build():
+            job = _WordGradeJob(netlist, plan.table, observation_nets,
+                                windows, kernel=kernel_name)
+            if kernel_name == "numpy":
+                shared = share_windows(job.windows)
+                if shared is not None:
+                    job.windows = shared
+                    job.shared_payload = shared
+            return job
+
+        if published:
+            chunks = [tuple(position for position in positions
+                            if fault_tuple[position] not in published)
+                      for positions in chunks]
+        tasks = [(positions, drop_detected)
+                 for positions in chunks if positions]
+        if tasks:
+            pool.ensure_job(key, build)
+        for _index, outcome in _fan_out(pool, key, "run_chunk", tasks):
             for window_index, hits in outcome:
                 start = window_index * word_size
                 hit_faults = [fault_tuple[position] for position in hits]
@@ -1070,8 +687,6 @@ def _pooled_mission_grade(netlist: Netlist, fault_list: List[Fault],
 
 def sharded_classify(netlist: Netlist, faults: Iterable[Fault], *,
                      effort, jobs: Optional[int] = None,
-                     backend: Optional[str] = None,
-                     shards: Optional[int] = None,
                      random_patterns: int = 256,
                      backtrack_limit: int = 200,
                      seed: int = 2013,
@@ -1082,24 +697,25 @@ def sharded_classify(netlist: Netlist, faults: Iterable[Fault], *,
                      atpg_seed: Optional[int] = None,
                      pool=None,
                      chunk: Optional[int] = None):
-    """Classify a fault population across shard workers.
+    """Classify a fault population across pool workers.
 
     The netlist-global tied-value fixpoint runs exactly once, in the
-    calling process (sharding it would repeat the global propagation per
-    shard for no benefit — at TIE effort this function therefore costs
-    the same as the serial engine and spawns no workers at all).  The
+    calling process (splitting it would repeat the global propagation per
+    chunk for no benefit — at TIE effort this function therefore costs
+    the same as the serial engine and starts no workers at all).  The
     faults it leaves unclassified go through the per-fault detection
     phases (seeded random patterns, the selected ATPG portfolio backend)
-    on cone-aware shards across the worker backend.  Every verdict is
-    batch-independent, so the merged report carries exactly the serial
-    engine's classifications.  ``runtime_seconds`` is wall clock;
-    per-phase runtimes are summed across shards (CPU seconds).
+    in cone-affine chunks across the pool.  Every verdict is
+    batch-independent and chunk results merge in chunk order, so the
+    report carries exactly the serial engine's classifications, patterns
+    and compaction.  ``runtime_seconds`` is wall clock; per-phase runtimes
+    are summed across chunks (CPU seconds).
 
-    For a backend with an escalation tier (``dalg``) the scheduler merges
-    the per-shard abort frontiers after the primary round, re-partitions
-    the merged frontier and fans out a second escalation round over the
-    same installed job — so a fault aborted in one shard is escalated
-    exactly once, no matter how the primary faults were sliced.
+    For a backend with an escalation tier (``dalg``) the driver merges the
+    per-chunk abort frontiers after the primary round and fans the merged
+    frontier out again over the same installed job — so a fault aborted in
+    one chunk is escalated exactly once, no matter how the primary faults
+    were sliced.
     """
     from repro.atpg.engine import (AtpgEffort, UntestabilityReport,
                                    resolve_effort)
@@ -1107,10 +723,11 @@ def sharded_classify(netlist: Netlist, faults: Iterable[Fault], *,
     from repro.atpg.portfolio import compact_patterns, resolve_atpg_backend
     from repro.atpg.tie_analysis import TieAnalysis
     from repro.faults.categories import FaultClass
+    from repro.runtime import (build_chunks, content_key, default_chunk_size,
+                               simulation_chunk_size)
 
     fault_list = list(faults)
     jobs = resolve_jobs(jobs)
-    backend = resolve_backend(backend, jobs)
     effort = resolve_effort(effort)
 
     report = UntestabilityReport(effort=effort)
@@ -1126,76 +743,61 @@ def sharded_classify(netlist: Netlist, faults: Iterable[Fault], *,
         report.runtime_seconds = time.perf_counter() - start
         return report
 
-    pool_obj = _resolve_pool(pool, jobs)
-    if pool_obj is not None:
-        patterns = _pooled_classify_rounds(
-            netlist, remaining, report, effort=effort,
-            random_patterns=random_patterns,
-            backtrack_limit=backtrack_limit, seed=seed,
-            static_prune=static_prune, static_learning=static_learning,
-            kernel_name=get_kernel(kernel).name,
-            atpg_backend=atpg_backend, atpg_seed=atpg_seed,
-            pool=pool_obj, chunk=chunk)
-        report.stats["jobs_resolved"] = jobs
-        if effort is AtpgEffort.FULL and patterns:
-            phase_start = time.perf_counter()
-            order = {fault: i for i, fault in enumerate(remaining)}
-            patterns.sort(key=lambda entry: order[entry[0]])
-            report.patterns, report.compaction = compact_patterns(
-                netlist, patterns, kernel=kernel)
-            report.phase_runtimes["compaction"] = (time.perf_counter()
-                                                   - phase_start)
-        report.runtime_seconds = time.perf_counter() - start
-        return report
+    kernel_name = get_kernel(kernel).name
+    key = content_key("classify", netlist, effort.name, random_patterns,
+                      backtrack_limit, seed, static_prune, static_learning,
+                      kernel_name, atpg_backend, atpg_seed)
 
-    n_shards = (shards if shards is not None
-                else default_shard_count(jobs, len(remaining)))
-    fault_shards = partition_faults(netlist, remaining, n_shards)
-    job = _DetectClassifyJob(netlist,
-                             tuple(shard.faults for shard in fault_shards),
-                             effort, random_patterns, backtrack_limit, seed,
-                             static_prune, static_learning,
-                             kernel=get_kernel(kernel).name,
-                             atpg_backend=atpg_backend, atpg_seed=atpg_seed)
+    def build():
+        return _DetectClassifyJob(
+            netlist, effort, random_patterns, backtrack_limit, seed,
+            static_prune, static_learning, kernel=kernel_name,
+            atpg_backend=atpg_backend, atpg_seed=atpg_seed)
+
     patterns: List[tuple] = []
-    with _ShardRunner(backend, jobs).start(job) as runner:
-        tasks = [(shard.index,) for shard in fault_shards]
-        for (_shard_id, classifications, phase_runtimes, stats,
-             shard_patterns) in sorted(runner.map("run_shard", tasks),
-                                       key=lambda item: item[0]):
-            report.classifications.update(classifications)
-            patterns.extend(shard_patterns)
+
+    def run_round(method: str, faults: List[Fault]) -> None:
+        """One round over ``faults``, merged in chunk order."""
+        if chunk is not None:
+            chunk_size = chunk
+        elif effort is AtpgEffort.RANDOM:
+            # Random-pattern detection is fault simulation: every chunk
+            # re-simulates the good machine on the whole pattern burst,
+            # so small ATPG-sized chunks would repeat that per 64 faults.
+            chunk_size = simulation_chunk_size(pool.workers, len(faults),
+                                               WORD_LANES)
+        else:
+            chunk_size = default_chunk_size(pool.workers, len(faults))
+        tasks = [tuple(faults[position] for position in positions)
+                 for positions in build_chunks(netlist, faults, chunk_size)]
+        outcomes = sorted(_fan_out(pool, key, method, tasks),
+                          key=lambda item: item[0])
+        for _index, (verdicts, chunk_patterns, phase_runtimes,
+                     stats) in outcomes:
+            report.classifications.update(verdicts)
+            patterns.extend(chunk_patterns)
             for phase, seconds in phase_runtimes.items():
                 report.phase_runtimes[phase] = (
                     report.phase_runtimes.get(phase, 0.0) + seconds)
-            for key, count in stats.items():
-                report.stats[key] = report.stats.get(key, 0) + count
+            for stat, count in stats.items():
+                report.stats[stat] = report.stats.get(stat, 0) + count
 
-        # Second round: merged abort frontier -> escalation tier.  The
-        # frontier is collected in canonical (input) fault order and
-        # re-partitioned, so the load balance adapts to where the aborts
-        # actually landed.
+    with _pool_scope(pool, jobs) as pool:
+        pool.ensure_job(key, build)
+        restarts_before = pool.stats["worker_restarts"]
+        run_round("run_faults", remaining)
+        # Escalation round: the merged abort frontier, in canonical fault
+        # order, re-fanned over the same warm job.
         if (effort is AtpgEffort.FULL
                 and resolve_atpg_backend(atpg_backend).escalates):
             frontier = [f for f in remaining
                         if report.classifications.get(f) is FaultClass.AU]
             if frontier:
-                esc_shards = partition_faults(
-                    netlist, frontier,
-                    default_shard_count(jobs, len(frontier)))
-                esc_tasks = [(shard.index, shard.faults)
-                             for shard in esc_shards]
-                for (_shard_id, improvements, esc_patterns, esc_runtimes,
-                     esc_stats) in sorted(
-                        runner.map("run_escalation", esc_tasks),
-                        key=lambda item: item[0]):
-                    report.classifications.update(improvements)
-                    patterns.extend(esc_patterns)
-                    for phase, seconds in esc_runtimes.items():
-                        report.phase_runtimes[phase] = (
-                            report.phase_runtimes.get(phase, 0.0) + seconds)
-                    for key, count in esc_stats.items():
-                        report.stats[key] = report.stats.get(key, 0) + count
+                run_round("run_escalation", frontier)
+        restarts = pool.stats["worker_restarts"] - restarts_before
+    if restarts:
+        report.stats["worker_restarts"] = (
+            report.stats.get("worker_restarts", 0) + restarts)
 
     report.stats["jobs_resolved"] = jobs
     if effort is AtpgEffort.FULL and patterns:
@@ -1208,90 +810,3 @@ def sharded_classify(netlist: Netlist, faults: Iterable[Fault], *,
                                                - phase_start)
     report.runtime_seconds = time.perf_counter() - start
     return report
-
-
-def _pooled_classify_rounds(netlist: Netlist, remaining: List[Fault],
-                            report, *, effort, random_patterns: int,
-                            backtrack_limit: int, seed: int,
-                            static_prune: bool, static_learning: bool,
-                            kernel_name: str,
-                            atpg_backend: Optional[str],
-                            atpg_seed: Optional[int],
-                            pool, chunk: Optional[int]) -> List[tuple]:
-    """Primary + escalation classification rounds over a persistent pool.
-
-    The installed job is keyed by *configuration only* — fault chunks ride
-    inside each task (:meth:`_DetectClassifyJob.run_faults`), so a warm
-    pool re-uses the installed netlist and job across any fault subset.
-    Results are collected completely and merged in chunk order, which
-    keeps the report byte-identical to the static sharded path no matter
-    which worker finished first.  Escalation re-fans the merged abort
-    frontier out over the same installed job.
-    """
-    from repro.atpg.engine import AtpgEffort
-    from repro.atpg.portfolio import resolve_atpg_backend
-    from repro.faults.categories import FaultClass
-    from repro.runtime import build_chunks, content_key, default_chunk_size
-
-    key = content_key("classify", netlist, effort.name, random_patterns,
-                      backtrack_limit, seed, static_prune, static_learning,
-                      kernel_name, atpg_backend, atpg_seed)
-
-    def build():
-        return _DetectClassifyJob(
-            netlist, (), effort, random_patterns, backtrack_limit, seed,
-            static_prune, static_learning, kernel=kernel_name,
-            atpg_backend=atpg_backend, atpg_seed=atpg_seed)
-
-    pool.ensure_job(key, build)
-    restarts_before = pool.stats["worker_restarts"]
-
-    def fan_out(method: str, faults: List[Fault]) -> List[tuple]:
-        chunk_size = (chunk if chunk is not None
-                      else default_chunk_size(pool.workers, len(faults)))
-        chunks = build_chunks(netlist, faults, chunk_size)
-        outcomes = []
-        with pool.session(key) as run:
-            for cid, positions in enumerate(chunks):
-                run.submit(method,
-                           (cid, tuple(faults[position]
-                                       for position in positions)),
-                           tag=cid)
-            for _tag, _task, outcome in run.results():
-                outcomes.append(outcome)
-        outcomes.sort(key=lambda item: item[0])
-        return outcomes
-
-    patterns: List[tuple] = []
-    for (_cid, classifications, phase_runtimes, stats,
-         chunk_patterns) in fan_out("run_faults", remaining):
-        report.classifications.update(classifications)
-        patterns.extend(chunk_patterns)
-        for phase, seconds in phase_runtimes.items():
-            report.phase_runtimes[phase] = (
-                report.phase_runtimes.get(phase, 0.0) + seconds)
-        for stat, count in stats.items():
-            report.stats[stat] = report.stats.get(stat, 0) + count
-
-    # Escalation round: the merged abort frontier, in canonical fault
-    # order, re-fanned over the same warm job.
-    if (effort is AtpgEffort.FULL
-            and resolve_atpg_backend(atpg_backend).escalates):
-        frontier = [f for f in remaining
-                    if report.classifications.get(f) is FaultClass.AU]
-        if frontier:
-            for (_cid, improvements, esc_patterns, esc_runtimes,
-                 esc_stats) in fan_out("run_escalation", frontier):
-                report.classifications.update(improvements)
-                patterns.extend(esc_patterns)
-                for phase, seconds in esc_runtimes.items():
-                    report.phase_runtimes[phase] = (
-                        report.phase_runtimes.get(phase, 0.0) + seconds)
-                for stat, count in esc_stats.items():
-                    report.stats[stat] = report.stats.get(stat, 0) + count
-
-    restarts = pool.stats["worker_restarts"] - restarts_before
-    if restarts:
-        report.stats["worker_restarts"] = (
-            report.stats.get("worker_restarts", 0) + restarts)
-    return patterns

@@ -106,17 +106,17 @@ class TestRestartSeedDeterminism:
             self.result_stream(netlist, list(reversed(faults)), seed=3)))
         assert full == reversed_run
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_same_seed_identical_across_shard_backends(self, backend):
+    @pytest.mark.parametrize("pool", ["ephemeral", "persistent"])
+    def test_same_seed_identical_across_pool_lifetimes(self, pool):
         netlist = build_small_adder_circuit()
         faults = generate_fault_list(netlist).faults()
-        reference = sharded_classify(
-            netlist, faults, effort=AtpgEffort.FULL, jobs=1,
-            backend="serial", random_patterns=16, backtrack_limit=24,
-            atpg_backend="podem-restart", atpg_seed=29)
+        reference = StructuralUntestabilityEngine(
+            netlist, effort=AtpgEffort.FULL, random_patterns=16,
+            backtrack_limit=24, atpg_backend="podem-restart",
+            atpg_seed=29).classify(faults)
         sharded = sharded_classify(
             netlist, faults, effort=AtpgEffort.FULL, jobs=2,
-            backend=backend, random_patterns=16, backtrack_limit=24,
+            pool=pool, random_patterns=16, backtrack_limit=24,
             atpg_backend="podem-restart", atpg_seed=29)
         assert classify_essence(sharded) == classify_essence(reference)
         assert sharded.patterns == reference.patterns
@@ -185,10 +185,9 @@ class TestEscalation:
         kwargs = dict(effort=AtpgEffort.FULL, random_patterns=0,
                       backtrack_limit=1, static_prune=False,
                       static_learning=False, atpg_backend="dalg")
-        serial = sharded_classify(netlist, faults, jobs=1, backend="serial",
-                                  **kwargs)
-        sharded = sharded_classify(netlist, faults, jobs=2, backend="thread",
-                                   **kwargs)
+        serial = StructuralUntestabilityEngine(netlist, **kwargs).classify(
+            faults)
+        sharded = sharded_classify(netlist, faults, jobs=2, **kwargs)
         assert classify_essence(sharded) == classify_essence(serial)
         assert sharded.patterns == serial.patterns
         assert sharded.compaction == serial.compaction

@@ -74,7 +74,7 @@ class TestShardingFlags:
         code, serial_out = run(capsys, "analyze", "tiny", "--json")
         assert code == 0
         code, sharded_out = run(capsys, "analyze", "tiny", "--jobs", "2",
-                                "--backend", "thread", "--json")
+                                "--json")
         assert code == 0
         serial = json.loads(serial_out)
         sharded = json.loads(sharded_out)
@@ -82,9 +82,9 @@ class TestShardingFlags:
         assert sharded["total_online_untestable"] == \
             serial["total_online_untestable"]
 
-    def test_bad_backend_rejected(self, capsys):
+    def test_bad_pool_rejected(self, capsys):
         with pytest.raises(SystemExit):
-            main(["analyze", "tiny", "--jobs", "2", "--backend", "cluster"])
+            main(["analyze", "tiny", "--jobs", "2", "--pool", "forever"])
 
 
 class TestCorpusCommand:
@@ -123,7 +123,7 @@ class TestCorpusCommand:
                      "--quiet"]) == 0
         capsys.readouterr()  # drain the update run's summary line
         code, out = run(capsys, "corpus", "--dir", str(tiny_corpus),
-                        "--jobs", "2", "--backend", "thread", "--quiet",
+                        "--jobs", "2", "--pool", "persistent", "--quiet",
                         "--json")
         assert code == 0
         document = json.loads(out)

@@ -285,9 +285,9 @@ class TestTwoPatternDetection:
         assert wide.detected == narrow.detected
         assert wide.detecting_pattern == narrow.detecting_pattern
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("pool", ["ephemeral", "persistent"])
     @pytest.mark.parametrize("drop", [True, False])
-    def test_sharded_transition_byte_identical(self, backend, drop):
+    def test_sharded_transition_byte_identical(self, pool, drop):
         netlist = build_and_or_circuit()
         faults = generate_fault_list(netlist, model="transition").faults()
         patterns = _random_patterns(netlist, 40, seed=5)
@@ -295,7 +295,7 @@ class TestTwoPatternDetection:
                                 drop_detected=drop).run(faults, patterns)
         sharded = ShardedFaultSimulator(
             netlist, word_size=8, drop_detected=drop, jobs=2,
-            backend=backend).run(faults, patterns)
+            pool=pool).run(faults, patterns)
         assert sharded.detected == serial.detected
         assert sharded.undetected == serial.undetected
         assert sharded.detecting_pattern == serial.detecting_pattern
@@ -305,9 +305,8 @@ class TestTwoPatternDetection:
         sample = faults[:: max(1, len(faults) // 120)][:120]
         patterns = _random_patterns(tiny_soc.cpu, 12, seed=2013)
         serial = FaultSimulator(tiny_soc.cpu).run(sample, patterns)
-        sharded = ShardedFaultSimulator(tiny_soc.cpu, jobs=3,
-                                        backend="process").run(sample,
-                                                               patterns)
+        sharded = ShardedFaultSimulator(tiny_soc.cpu, jobs=3).run(sample,
+                                                                  patterns)
         assert sharded.detected == serial.detected
         assert sharded.detecting_pattern == serial.detecting_pattern
 
@@ -327,7 +326,7 @@ class TestTransitionGrading:
         faults = generate_fault_list(tiny_soc.cpu, model="transition").faults()
         sample = faults[:: max(1, len(faults) // 150)][:150]
         serial = FaultGrader(tiny_soc.cpu).grade(tiny_captured, sample)
-        sharded = FaultGrader(tiny_soc.cpu, jobs=2, backend="process").grade(
+        sharded = FaultGrader(tiny_soc.cpu, jobs=2).grade(
             tiny_captured, sample)
         assert sharded == serial
 
@@ -409,8 +408,7 @@ class TestTwoFramePodem:
         serial = StructuralUntestabilityEngine(
             tiny_soc.cpu, effort=effort).classify(sample)
         sharded = StructuralUntestabilityEngine(
-            tiny_soc.cpu, effort=effort, jobs=2,
-            backend="process").classify(sample)
+            tiny_soc.cpu, effort=effort, jobs=2).classify(sample)
         assert sharded.classifications == serial.classifications
 
 

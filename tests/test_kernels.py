@@ -193,9 +193,9 @@ def tiny_mission_patterns(tiny_cpu):
 
 @needs_numpy
 @pytest.mark.parametrize("model", ["stuck_at", "transition"])
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-def test_fault_sim_identity_across_kernels_and_backends(
-        tiny_cpu, tiny_mission_patterns, backend, model, monkeypatch):
+@pytest.mark.parametrize("pool", ["ephemeral", "persistent"])
+def test_fault_sim_identity_across_kernels_and_pools(
+        tiny_cpu, tiny_mission_patterns, pool, model, monkeypatch):
     # Force the batch path for at least part of the population: on the
     # tiny core every cone is below the default cutoff, which would leave
     # the vectorized sweep untested in-process (worker processes still run
@@ -213,7 +213,7 @@ def test_fault_sim_identity_across_kernels_and_backends(
     assert serial_numpy.undetected == reference.undetected
     assert serial_numpy.detecting_pattern == reference.detecting_pattern
 
-    sharded = ShardedFaultSimulator(tiny_cpu, jobs=2, backend=backend,
+    sharded = ShardedFaultSimulator(tiny_cpu, jobs=2, pool=pool,
                                     kernel="numpy")
     result = sharded.run(faults, tiny_mission_patterns)
     assert result.detected == reference.detected

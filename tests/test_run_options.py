@@ -35,14 +35,15 @@ def rearm_warnings():
 class TestNormalization:
     def test_fields_normalize_eagerly(self):
         options = RunOptions(effort="FULL", fault_model="transition",
-                             jobs="4", shard_backend="thread",
+                             jobs="4", pool=" Persistent ", chunk="16",
                              static_prune=1, static_learning=0,
                              atpg_backend=ATPG_BACKENDS["dalg"],
                              atpg_seed="7")
         assert options.effort is AtpgEffort.FULL
         assert options.fault_model == "transition"
         assert options.jobs == 4
-        assert options.shard_backend == "thread"
+        assert options.pool == "persistent"
+        assert options.chunk == 16
         assert options.static_prune is True
         assert options.static_learning is False
         assert options.atpg_backend == "dalg"
@@ -50,7 +51,7 @@ class TestNormalization:
 
     def test_unset_fields_stay_none(self):
         options = RunOptions()
-        for name in ("effort", "fault_model", "jobs", "shard_backend",
+        for name in ("effort", "fault_model", "jobs", "pool", "chunk",
                      "kernel", "static_prune", "static_learning", "store",
                      "atpg_backend", "atpg_seed"):
             assert getattr(options, name) is None
@@ -146,12 +147,11 @@ class TestLegacyKeywordShim:
 class TestSessionSurface:
     def test_every_legacy_session_keyword_still_works(self):
         with pytest.warns(DeprecationWarning):
-            session = Session(effort="tie", jobs=2, shard_backend="thread",
+            session = Session(effort="tie", jobs=2,
                               kernel="int", fault_model="stuck_at",
                               static_prune=True, static_learning=True)
         assert session.effort is AtpgEffort.TIE
         assert session.jobs == 2
-        assert session.shard_backend == "thread"
         assert session.kernel == "int"
         assert session.fault_model == "stuck_at"
         assert session.static_prune is True

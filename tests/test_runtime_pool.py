@@ -23,6 +23,7 @@ import os
 import pickle
 import random
 import signal
+import threading
 import time
 
 import pytest
@@ -35,10 +36,10 @@ from repro.runtime import (MONSTER_RATIO, PoolClosedError, WorkerPool,
                            build_chunks, content_key, default_chunk_size,
                            get_pool, pool_stats, resolve_pool_mode,
                            shutdown_pools)
+from repro.runtime.scheduler import cone_representative
 from repro.simulation.fault_sim import FaultSimulator, resolve_site
 from repro.simulation.kernels import numpy_available
-from repro.simulation.sharded import (ShardedFaultSimulator,
-                                      cone_representative, sharded_classify)
+from repro.simulation.sharded import ShardedFaultSimulator, sharded_classify
 
 KERNELS = ("int",) + (("numpy",) if numpy_available() else ())
 
@@ -208,6 +209,19 @@ class TestPoolLifecycle:
         with pytest.raises(PoolClosedError):
             pool.ensure_job("job:x", lambda: None)
 
+    def test_failed_session_entry_releases_the_lock(self):
+        """A session that cannot start must not keep the pool locked:
+        another thread's close() has to go through."""
+        pool = WorkerPool(1)
+        pool.close()
+        with pytest.raises(PoolClosedError):
+            with pool.session("job:x"):
+                pass
+        closer = threading.Thread(target=pool.close, daemon=True)
+        closer.start()
+        closer.join(timeout=5)
+        assert not closer.is_alive(), "close() blocked on a leaked lock"
+
     def test_registry_reuses_and_recreates(self):
         shutdown_pools()
         first = get_pool(1)
@@ -305,12 +319,12 @@ class TestStealOrderIdentity:
                        jitter_seed=7, chunk=3, drop_detected=False)
 
     def test_classify_identity_across_jitter(self, tiny_cpu, tiny_faults):
-        from repro.atpg.engine import AtpgEffort
+        from repro.atpg.engine import AtpgEffort, StructuralUntestabilityEngine
 
         sample = tiny_faults[::13][:40]
-        reference = sharded_classify(tiny_cpu, sample,
-                                     effort=AtpgEffort.RANDOM, jobs=1,
-                                     backend="serial", random_patterns=32)
+        reference = StructuralUntestabilityEngine(
+            tiny_cpu, effort=AtpgEffort.RANDOM,
+            random_patterns=32).classify(sample)
         for jitter_seed in (1, 23):
             pool = WorkerPool(2, jitter_seed=jitter_seed)
             try:
@@ -388,8 +402,7 @@ class TestSimulationPayloads:
                 "planesim", "wordgrade"]
             for key in job_keys:
                 job = _guarded_load(pool._payload(key))
-                assert all(type(table).__name__ == "SiteTable"
-                           for table in job.shards)
+                assert type(job.table).__name__ == "SiteTable"
         finally:
             pool.close()
 
@@ -416,7 +429,7 @@ class TestSimulationPayloads:
 
         reference_frontier = DetectionFrontier()
         reference_frontier.publish_many(seed)
-        reference = graded(reference_frontier, jobs=1, backend="serial")
+        reference = graded(reference_frontier, jobs=1)
         pool = WorkerPool(2)
         try:
             for chunk in (None, 5):
@@ -428,6 +441,41 @@ class TestSimulationPayloads:
                 assert set(frontier.detected()) == serial | {undetected}
         finally:
             pool.close()
+
+
+# --------------------------------------------------------------------- #
+# large payloads in both directions
+# --------------------------------------------------------------------- #
+class TestLargePayloads:
+    def test_large_tasks_and_results_never_deadlock(self, tiny_cpu):
+        """A worker blocked returning a large result must not deadlock a
+        parent blocked handing it the next (prefetched) large task."""
+        pool = WorkerPool(1)
+        key = pool.ensure_job("probe:large", lambda: _EchoJob(tiny_cpu))
+        blob = bytes(4 << 20)  # far beyond any socket buffer
+        done = []
+
+        def drive():
+            with pool.session(key) as run:
+                for i in range(3):
+                    run.submit("run", (i, blob), tag=i)
+                done.extend(outcome[0] for _tag, _task, outcome
+                            in run.results())
+
+        driver = threading.Thread(target=drive, daemon=True)
+        driver.start()
+        driver.join(timeout=30)
+        if driver.is_alive():
+            # Deadlocked: kill the worker (no respawn on a closed pool) so
+            # the parent's blocked send fails and the driver can unwind.
+            pool._closed = True
+            pool._task_info.clear()
+            for process in pool._procs:
+                if process is not None:
+                    process.kill()
+            pytest.fail("parent and worker deadlocked on large payloads")
+        pool.close()
+        assert sorted(done) == [0, 1, 2]
 
 
 # --------------------------------------------------------------------- #

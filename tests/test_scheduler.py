@@ -1,12 +1,15 @@
 """Chunk planning for the work-stealing pool (:mod:`repro.runtime.scheduler`).
 
-Two contracts under test:
+Three contracts under test:
 
 * **Heap packing is the scan, faster.**  :func:`build_chunks` packs cone
   groups into chunks with a ``(cost, creation index)`` heap.  The
   quadratic lightest-chunk scan it replaced is kept below as a reference
   copy; both must produce identical chunk lists, in identical dispatch
   order, on the tiny and date13 fault lists.
+* **Cone affinity.**  Faults sharing a fanout cone share a chunk whenever
+  their cone group fits one (monster-cone faults aside, which run as
+  singletons).
 * **The simulation sizing rule.**  Pooled fault-simulation jobs size
   chunks to ~8 per worker and never narrower than the kernel's lane
   width; an explicit ``chunk`` wins.  Classification keeps
@@ -25,10 +28,9 @@ from repro.netlist.cells import LOGIC_0, LOGIC_1
 from repro.netlist.compiled import get_compiled
 from repro.runtime import (MONSTER_RATIO, WorkerPool, build_chunks,
                            simulation_chunk_size)
-from repro.runtime.scheduler import SIM_CHUNKS_PER_WORKER
+from repro.runtime.scheduler import SIM_CHUNKS_PER_WORKER, cone_representative
 from repro.simulation.fault_sim import resolve_site
 from repro.simulation.kernels import PLANE_LANES, WORD_LANES
-from repro.simulation.sharded import cone_representative
 from repro.soc.config import SoCConfig
 from repro.soc.soc_builder import build_soc
 
@@ -126,6 +128,34 @@ class TestHeapPacking:
 
     def test_empty_population(self, tiny_soc):
         assert build_chunks(tiny_soc.cpu, [], 8) == []
+
+
+class TestConeAffinity:
+    @pytest.mark.parametrize("chunk_size", (8, 64))
+    def test_faults_sharing_a_cone_share_a_chunk(self, tiny_soc,
+                                                 chunk_size):
+        cpu = tiny_soc.cpu
+        faults = generate_fault_list(cpu).faults()
+        compiled = get_compiled(cpu)
+        sizes = compiled.fanout_cone_sizes()
+        reps = [cone_representative(compiled, resolve_site(compiled, fault))
+                for fault in faults]
+        costs = [sizes[rep] + 1 if rep >= 0 else 1 for rep in reps]
+        mean = sum(costs) / len(costs)
+        groups: dict = {}
+        for position, rep in enumerate(reps):
+            groups.setdefault(rep, []).append(position)
+        chunk_of = {position: index for index, chunk
+                    in enumerate(build_chunks(cpu, faults, chunk_size))
+                    for position in chunk}
+        checked = 0
+        for members in groups.values():
+            if (len(members) > chunk_size
+                    or costs[members[0]] >= MONSTER_RATIO * mean):
+                continue
+            assert len({chunk_of[position] for position in members}) == 1
+            checked += len(members) > 1
+        assert checked  # some multi-fault cone groups were really tested
 
 
 class TestSimulationChunkSize:

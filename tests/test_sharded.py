@@ -1,14 +1,16 @@
-"""The sharded fault-population engine: partitioning, frontier, identity.
+"""The parallel fault-population engines: frontier, identity, lifetime.
 
-The contract under test is strict: for every backend and every fault-
-dropping mode, the sharded engines must reproduce the serial reference
-*exactly* — detected/undetected sets, recorded detecting patterns,
-classification dicts and graded coverage are compared for equality, not
-similarity.
+The contract under test is strict: for both pool lifetimes and every
+fault-dropping mode, the parallel engines must reproduce the serial
+reference *exactly* — detected/undetected sets, recorded detecting
+patterns, classification dicts and graded coverage are compared for
+equality, not similarity.  An ephemeral pool must also leave no worker
+process behind, whether its call returns or raises.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import pickle
 import random
 
@@ -21,13 +23,13 @@ from repro.netlist.compiled import get_compiled, netlist_signature
 from repro.sbst.grading import FaultGrader
 from repro.sbst.monitor import ToggleMonitor
 from repro.sbst.program_gen import generate_sbst_suite
-from repro.simulation.fault_sim import FaultSimulator, resolve_site
+from repro.simulation.fault_sim import FaultSimulator
+from repro.runtime import WorkerPool, WorkerTaskError
 from repro.simulation.sharded import (DetectionFrontier, ShardedFaultSimulator,
-                                      cone_representative, partition_faults,
-                                      resolve_backend, resolve_jobs,
+                                      SiteTable, resolve_jobs,
                                       sharded_classify)
 
-BACKENDS = ("serial", "thread", "process")
+POOLS = ("ephemeral", "persistent")
 
 
 @pytest.fixture(scope="module")
@@ -87,50 +89,20 @@ class TestKnobs:
         assert len(oversub) == 1
         _reset_oversubscription_warning()
 
-    def test_resolve_backend(self):
-        assert resolve_backend(None, 1) == "serial"
-        assert resolve_backend(None, 4) in ("process", "thread")
-        assert resolve_backend("THREAD", 2) == "thread"
-        with pytest.raises(ValueError, match="unknown shard backend"):
-            resolve_backend("cluster", 2)
+    def test_removed_runner_knobs_are_type_errors(self, tiny_cpu):
+        """The static shard runner's knobs are gone, not silently ignored."""
+        with pytest.raises(TypeError):
+            FaultGrader(tiny_cpu, jobs=2, backend=None)
+        with pytest.raises(TypeError):
+            StructuralUntestabilityEngine(tiny_cpu, jobs=2, shards=4)
+        with pytest.raises(TypeError):
+            ShardedFaultSimulator(tiny_cpu, jobs=2, shards=4)
 
 
 # --------------------------------------------------------------------- #
-# cone-aware partitioning
+# the cone-cost table behind chunk partitioning
 # --------------------------------------------------------------------- #
 class TestPartitioning:
-    def test_partition_is_exact_and_deterministic(self, tiny_cpu,
-                                                  tiny_faults):
-        first = partition_faults(tiny_cpu, tiny_faults, 8)
-        second = partition_faults(tiny_cpu, tiny_faults, 8)
-        assert [s.faults for s in first] == [s.faults for s in second]
-        assert [s.index for s in first] == list(range(len(first)))
-        scattered = [f for shard in first for f in shard.faults]
-        assert sorted(map(str, scattered)) == sorted(map(str, tiny_faults))
-        assert len(scattered) == len(tiny_faults)
-
-    def test_faults_sharing_a_cone_share_a_shard(self, tiny_cpu,
-                                                 tiny_faults):
-        compiled = get_compiled(tiny_cpu)
-        shards = partition_faults(tiny_cpu, tiny_faults, 8)
-        rep_to_shard = {}
-        for shard in shards:
-            for fault in shard.faults:
-                rep = cone_representative(
-                    compiled, resolve_site(compiled, fault))
-                assert rep_to_shard.setdefault(rep, shard.index) == shard.index
-
-    def test_single_shard_and_shard_cap(self, tiny_cpu, tiny_faults):
-        assert len(partition_faults(tiny_cpu, tiny_faults, 1)) == 1
-        assert len(partition_faults(tiny_cpu, tiny_faults, 8)) <= 8
-
-    def test_shards_are_roughly_balanced(self, tiny_cpu, tiny_faults):
-        shards = partition_faults(tiny_cpu, tiny_faults, 4)
-        costs = [shard.cost for shard in shards]
-        assert min(costs) > 0
-        # LPT bin packing: no bin more than ~2x the mean.
-        assert max(costs) <= 2.5 * (sum(costs) / len(costs))
-
     def test_cone_size_table_matches_memoised_cones(self, tiny_cpu):
         compiled = get_compiled(tiny_cpu)
         sizes = compiled.fanout_cone_sizes()
@@ -153,17 +125,17 @@ class TestDetectionFrontier:
 
 
 # --------------------------------------------------------------------- #
-# sharded fault simulation: byte-identical to the serial engine
+# parallel fault simulation: byte-identical to the serial engine
 # --------------------------------------------------------------------- #
 class TestShardedFaultSimulator:
     @pytest.mark.parametrize("drop", [True, False])
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("pool", POOLS)
     def test_identical_to_serial(self, tiny_cpu, tiny_faults, tiny_patterns,
-                                 backend, drop):
+                                 pool, drop):
         sample = tiny_faults[::7]
         reference = FaultSimulator(tiny_cpu).run(sample, tiny_patterns,
                                                  drop_detected=drop)
-        sharded = ShardedFaultSimulator(tiny_cpu, jobs=2, backend=backend)
+        sharded = ShardedFaultSimulator(tiny_cpu, jobs=2, pool=pool)
         result = sharded.run(sample, tiny_patterns, drop_detected=drop)
         assert result.detected == reference.detected
         assert result.undetected == reference.undetected
@@ -172,25 +144,25 @@ class TestShardedFaultSimulator:
     def test_frontier_records_every_detection(self, tiny_cpu, tiny_faults,
                                               tiny_patterns):
         sample = tiny_faults[::11]
-        sharded = ShardedFaultSimulator(tiny_cpu, jobs=2, backend="serial")
+        sharded = ShardedFaultSimulator(tiny_cpu, jobs=2)
         result = sharded.run(sample, tiny_patterns)
         frontier = sharded.last_frontier
         assert frontier is not None
         assert set(frontier.detected()) == result.detected
         assert frontier.detected() == result.detecting_pattern
 
-    def test_explicit_shard_count(self, tiny_cpu, tiny_faults,
-                                  tiny_patterns):
+    def test_explicit_chunk_size(self, tiny_cpu, tiny_faults,
+                                 tiny_patterns):
         sample = tiny_faults[:200]
         reference = FaultSimulator(tiny_cpu).run(sample, tiny_patterns)
-        result = ShardedFaultSimulator(tiny_cpu, jobs=2, backend="serial",
-                                       shards=3).run(sample, tiny_patterns)
+        result = ShardedFaultSimulator(tiny_cpu, jobs=2,
+                                       chunk=3).run(sample, tiny_patterns)
         assert result.detected == reference.detected
         assert result.detecting_pattern == reference.detecting_pattern
 
 
 # --------------------------------------------------------------------- #
-# sharded classification
+# parallel classification
 # --------------------------------------------------------------------- #
 class TestShardedClassify:
     @pytest.mark.parametrize("effort", ["tie", "random"])
@@ -198,21 +170,20 @@ class TestShardedClassify:
         reference = StructuralUntestabilityEngine(
             tiny_cpu, effort=effort).classify(tiny_faults)
         sharded = sharded_classify(tiny_cpu, tiny_faults, effort=effort,
-                                   jobs=2, backend="process")
+                                   jobs=2)
         assert sharded.classifications == reference.classifications
         assert sharded.effort == reference.effort
 
     def test_engine_jobs_knob_delegates(self, tiny_cpu, tiny_faults):
         reference = StructuralUntestabilityEngine(tiny_cpu).classify(
             tiny_faults)
-        engine = StructuralUntestabilityEngine(tiny_cpu, jobs=2,
-                                               backend="thread")
+        engine = StructuralUntestabilityEngine(tiny_cpu, jobs=2)
         assert engine.classify(tiny_faults).classifications == \
             reference.classifications
 
 
 # --------------------------------------------------------------------- #
-# sharded mission-mode fault grading
+# parallel mission-mode fault grading
 # --------------------------------------------------------------------- #
 class TestShardedFaultGrading:
     @pytest.fixture(scope="class")
@@ -220,12 +191,12 @@ class TestShardedFaultGrading:
         programs = generate_sbst_suite(tiny_soc.config.cpu)
         return ToggleMonitor(tiny_soc.cpu).run_suite(programs)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("pool", POOLS)
     def test_grade_identical_to_serial(self, tiny_cpu, tiny_captured,
-                                       backend):
+                                       pool):
         serial = FaultGrader(tiny_cpu).grade(tiny_captured)
         sharded = FaultGrader(tiny_cpu, jobs=2,
-                              backend=backend).grade(tiny_captured)
+                              pool=pool).grade(tiny_captured)
         assert sharded == serial
 
     def test_compare_with_pruning_identical(self, tiny_cpu, tiny_captured,
@@ -233,8 +204,7 @@ class TestShardedFaultGrading:
         pruned = tiny_flow_report.online_untestable
         serial = FaultGrader(tiny_cpu).compare_with_pruning(
             tiny_captured, pruned)
-        sharded = FaultGrader(tiny_cpu, jobs=2,
-                              backend="process").compare_with_pruning(
+        sharded = FaultGrader(tiny_cpu, jobs=2).compare_with_pruning(
             tiny_captured, pruned)
         assert (serial.total_faults, serial.detected, serial.pruned,
                 serial.detected_after_pruning) == \
@@ -243,7 +213,7 @@ class TestShardedFaultGrading:
 
 
 # --------------------------------------------------------------------- #
-# the pickle path the spawn-based process backend depends on
+# the pickle path every pool install depends on
 # --------------------------------------------------------------------- #
 class TestNetlistPickling:
     def test_round_trip_preserves_structure(self, tiny_cpu):
@@ -263,56 +233,105 @@ class TestNetlistPickling:
 
 
 # --------------------------------------------------------------------- #
-# the spawn-backend contract: jobs must survive pickling
+# the install contract: jobs must survive pickling
 # --------------------------------------------------------------------- #
 class TestJobPickling:
-    """On platforms without ``fork`` the pool initializer ships the job by
-    pickle; a pickled-and-rebuilt job must compute identical verdicts."""
+    """Pool installs ship every job by pickle; a pickled-and-rebuilt job
+    must compute identical verdicts."""
 
     def test_plane_sim_job_round_trip(self, tiny_cpu, tiny_faults,
                                       tiny_patterns):
         from repro.simulation.fault_sim import observation_net_names
-        from repro.simulation.sharded import _PlaneSimJob, partition_faults
+        from repro.simulation.sharded import _PlaneSimJob
 
-        shards = partition_faults(tiny_cpu, tiny_faults[:300], 3)
+        sample = tiny_faults[:300]
         job = _PlaneSimJob(
-            tiny_cpu, tuple(shard.faults for shard in shards),
+            tiny_cpu, SiteTable.of(get_compiled(tiny_cpu), sample),
             frozenset(observation_net_names(tiny_cpu)), tiny_patterns, 64)
         job.prepare()
         clone = pickle.loads(pickle.dumps(job))
-        for shard in shards:
-            task = (shard.index, tuple(range(len(shard.faults))), 0)
-            assert clone.run_window(task) == job.run_window(task)
+        for drop in (True, False):
+            task = (tuple(range(len(sample))), drop)
+            assert clone.run_chunk(task) == job.run_chunk(task)
+            assert job.run_chunk(task)  # the chunk really detected faults
 
     def test_classify_job_round_trip(self, tiny_cpu, tiny_faults):
-        from repro.simulation.sharded import (_DetectClassifyJob,
-                                              partition_faults)
+        from repro.simulation.sharded import _DetectClassifyJob
         from repro.atpg.engine import AtpgEffort
 
-        shards = partition_faults(tiny_cpu, tiny_faults[:400], 2)
-        job = _DetectClassifyJob(tiny_cpu, tuple(s.faults for s in shards),
-                                 AtpgEffort.RANDOM, 64, 200, 2013)
+        job = _DetectClassifyJob(tiny_cpu, AtpgEffort.RANDOM, 64, 200, 2013)
         clone = pickle.loads(pickle.dumps(job))
-        for shard in shards:
-            ours = job.run_shard((shard.index,))
-            theirs = clone.run_shard((shard.index,))
-            assert ours[1] == theirs[1]  # identical classifications
-            assert ours[1]  # the random phase really classified faults
+        for chunk in (tuple(tiny_faults[:200]), tuple(tiny_faults[200:400])):
+            ours = job.run_faults(chunk)
+            theirs = clone.run_faults(chunk)
+            assert ours[0] == theirs[0]  # identical classifications
+            assert ours[0]  # the random phase really classified faults
 
 
 class TestShardedClassifySchedulesTieOnce:
     def test_tie_effort_spawns_no_workers(self, tiny_cpu, tiny_faults,
                                           monkeypatch):
         """At TIE effort the global fixpoint runs once in the caller and
-        nothing is farmed out — sharded classify must cost serial time."""
-        import repro.simulation.sharded as sharded_mod
-
-        def boom(self, job):
+        nothing is farmed out — parallel classify must cost serial time."""
+        def boom(self):
             raise AssertionError("no worker pool expected at TIE effort")
 
-        monkeypatch.setattr(sharded_mod._ShardRunner, "start", boom)
+        monkeypatch.setattr(WorkerPool, "_ensure_started", boom)
         reference = StructuralUntestabilityEngine(tiny_cpu).classify(
             tiny_faults)
         report = sharded_classify(tiny_cpu, tiny_faults, effort="tie",
-                                  jobs=4, backend="process")
+                                  jobs=4)
         assert report.classifications == reference.classifications
+
+
+# --------------------------------------------------------------------- #
+# the ephemeral lifetime: one pool per call, reaped on every exit path
+# --------------------------------------------------------------------- #
+class TestEphemeralPoolLifetime:
+    @pytest.fixture()
+    def spawned(self, monkeypatch):
+        """Every worker process a WorkerPool starts during the test."""
+        processes = []
+        original = WorkerPool._spawn
+
+        def recording_spawn(pool, wid, *, provision):
+            original(pool, wid, provision=provision)
+            processes.append(pool._procs[wid])
+
+        monkeypatch.setattr(WorkerPool, "_spawn", recording_spawn)
+        return processes
+
+    @staticmethod
+    def assert_reaped(processes):
+        assert processes, "the call never started a worker pool"
+        live = {child.pid for child in multiprocessing.active_children()}
+        assert not any(process.is_alive() for process in processes)
+        assert not live & {process.pid for process in processes}
+
+    def test_no_worker_outlives_a_normal_return(self, tiny_cpu, tiny_faults,
+                                                tiny_patterns, spawned):
+        sample = tiny_faults[::13]
+        reference = FaultSimulator(tiny_cpu).run(sample, tiny_patterns)
+        result = ShardedFaultSimulator(tiny_cpu, jobs=2,
+                                       pool="ephemeral").run(sample,
+                                                             tiny_patterns)
+        assert result.detecting_pattern == reference.detecting_pattern
+        self.assert_reaped(spawned)
+
+    def test_no_worker_outlives_a_failing_task(self, tiny_cpu, tiny_faults,
+                                               tiny_patterns, spawned,
+                                               monkeypatch):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("needs fork: workers must inherit the failing job")
+        from repro.simulation.sharded import _PlaneSimJob
+
+        def fail(self, *_args):
+            raise RuntimeError("deliberate task failure")
+
+        # Forked workers inherit the patched job class.
+        monkeypatch.setenv("REPRO_POOL_START_METHOD", "fork")
+        monkeypatch.setattr(_PlaneSimJob, "_window_hits", fail)
+        with pytest.raises(WorkerTaskError, match="deliberate task failure"):
+            ShardedFaultSimulator(tiny_cpu, jobs=2).run(tiny_faults[::13],
+                                                        tiny_patterns)
+        self.assert_reaped(spawned)
