@@ -24,6 +24,7 @@ Custom backends (a cluster queue, an async gateway) implement the same
 
 from __future__ import annotations
 
+import contextlib
 from concurrent.futures import (FIRST_COMPLETED, ProcessPoolExecutor,
                                 ThreadPoolExecutor, wait)
 from typing import (Any, Callable, Iterator, Optional, Protocol, Sequence,
@@ -99,19 +100,6 @@ class ThreadExecutor(_PoolExecutor):
                                   thread_name_prefix="repro-sweep")
 
 
-class _BorrowedPool:
-    """Context manager lending a long-lived pool without closing it."""
-
-    def __init__(self, pool) -> None:
-        self._pool = pool
-
-    def __enter__(self):
-        return self._pool
-
-    def __exit__(self, *exc) -> bool:
-        return False
-
-
 class ProcessExecutor(_PoolExecutor):
     """Run jobs on a process pool, streaming completions.
 
@@ -139,7 +127,8 @@ class ProcessExecutor(_PoolExecutor):
             return ProcessPoolExecutor(max_workers=workers)
         if self._pool is None:
             self._pool = ProcessPoolExecutor(max_workers=workers)
-        return _BorrowedPool(self._pool)
+        # Lend the long-lived pool without closing it on exit.
+        return contextlib.nullcontext(self._pool)
 
     def close(self) -> None:
         """Shut down the persistent pool (no-op for the ephemeral mode)."""

@@ -39,10 +39,10 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.atpg.podem import (_FAMILY_PROPS, _family, Podem, PodemResult,
-                              PodemStatus)
+from repro.atpg.podem import Podem, PodemResult, PodemStatus
 from repro.faults.models import Fault
-from repro.netlist.cells import LOGIC_0, LOGIC_1, LOGIC_X
+from repro.netlist.cells import (GATE_FAMILIES, LOGIC_0, LOGIC_1, LOGIC_X,
+                                 cell_family)
 from repro.netlist.module import Netlist
 from repro.simulation.simulator import scalar3_program
 
@@ -191,8 +191,8 @@ class DAlg(Podem):
                          if fid >= 0 and good[fid] == LOGIC_X})
         if not x_nids:
             return []
-        family = _family(compiled.op_cell[op].name)
-        controlling, _ = _FAMILY_PROPS.get(family, (None, False))
+        family = cell_family(compiled.op_cell[op].name)
+        controlling, _ = GATE_FAMILIES.get(family, (None, False))
         order = ((controlling, LOGIC_1 - controlling)
                  if controlling is not None else (LOGIC_0, LOGIC_1))
         fn = self._scalar_program[op]
@@ -221,8 +221,8 @@ class DAlg(Podem):
                          if fid >= 0 and good[fid] == LOGIC_X})
         if not x_nids:
             return []
-        family = _family(compiled.op_cell[op].name)
-        controlling, _ = _FAMILY_PROPS.get(family, (None, False))
+        family = cell_family(compiled.op_cell[op].name)
+        controlling, _ = GATE_FAMILIES.get(family, (None, False))
         first = (LOGIC_1 - controlling) if controlling is not None else LOGIC_1
         order = (first, LOGIC_1 - first)
         return [dict(zip(x_nids, combo))

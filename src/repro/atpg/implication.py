@@ -22,7 +22,8 @@ import heapq
 from typing import (Dict, List, Mapping, MutableMapping, Optional, Sequence,
                     Set)
 
-from repro.netlist.cells import LOGIC_0, LOGIC_1, LOGIC_X
+from repro.netlist.cells import (GATE_FAMILIES, LOGIC_0, LOGIC_1, LOGIC_X,
+                                 cell_family)
 from repro.netlist.compiled import CompiledNetlist
 from repro.netlist.module import Netlist
 from repro.simulation.simulator import CombinationalSimulator, scalar3_program
@@ -162,13 +163,6 @@ class ImplicationEngine:
       because a side input is held at a controlling constant.
     """
 
-    # Controlling values per cell family: an input at this value forces the
-    # output regardless of the other inputs.
-    _CONTROLLING = {
-        "AND": LOGIC_0, "NAND": LOGIC_0,
-        "OR": LOGIC_1, "NOR": LOGIC_1,
-    }
-
     def __init__(self, netlist: Netlist,
                  extra_constants: Optional[Mapping[str, int]] = None,
                  through_sequential: bool = True) -> None:
@@ -194,10 +188,6 @@ class ImplicationEngine:
             return True
         return constant == value
 
-    @staticmethod
-    def _cell_family(cell_name: str) -> str:
-        return cell_name.rstrip("0123456789")
-
     def propagation_blocked(self, through_instance, from_pin_port: str,
                             untrusted_nets: Optional[Set[str]] = None) -> bool:
         """True if a fault effect entering ``through_instance`` at pin
@@ -213,7 +203,10 @@ class ImplicationEngine:
         gate whose both inputs branch from the faulty net).
         """
         cell = through_instance.cell
-        family = self._cell_family(cell.name)
+        # A side input at the family's controlling value forces the output
+        # regardless of the other inputs.
+        controlling, _ = GATE_FAMILIES.get(cell_family(cell.name),
+                                           (None, False))
 
         def side_constant(net) -> Optional[int]:
             if net is None:
@@ -228,8 +221,7 @@ class ImplicationEngine:
                 continue
             side_values[pin.port] = side_constant(pin.net)
 
-        if family in self._CONTROLLING:
-            controlling = self._CONTROLLING[family]
+        if controlling is not None:
             return any(v == controlling for v in side_values.values())
 
         if cell.name == "MUX2":

@@ -33,6 +33,7 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 from repro.core.registry import Registry
 from repro.faults.fault import (SA0, SA1, StuckAtFault, site_instance_name,
                                 site_is_port, site_pin_name)
+from repro.netlist.cells import GATE_FAMILIES, cell_family
 from repro.netlist.module import Netlist
 
 #: Transition-fault polarities (classic launch-on-capture abbreviations).
@@ -182,19 +183,6 @@ class FaultModel:
         return f"<FaultModel {self.name}>"
 
 
-def _base_cell(cell_name: str) -> str:
-    return cell_name.rstrip("0123456789")
-
-
-# (cell family, input fault value, output fault value) equivalences.
-_GATE_RULES: Dict[str, Tuple[int, int]] = {
-    "AND": (SA0, SA0),
-    "NAND": (SA0, SA1),
-    "OR": (SA1, SA1),
-    "NOR": (SA1, SA0),
-}
-
-
 def _single_output_gates(netlist: Netlist):
     """Combinational single-output instances, with their cell family."""
     for inst in netlist.instances.values():
@@ -203,7 +191,7 @@ def _single_output_gates(netlist: Netlist):
         out_pins = inst.output_pins()
         if len(out_pins) != 1:
             continue
-        yield inst, _base_cell(inst.cell.name), out_pins[0]
+        yield inst, cell_family(inst.cell.name), out_pins[0]
 
 
 def _fanout_free_nets(netlist: Netlist):
@@ -242,19 +230,17 @@ class StuckAtModel(FaultModel):
 
     def equivalence_pairs(self, netlist: Netlist):
         for inst, base, out in _single_output_gates(netlist):
-            if base == "BUF":
+            controlling, inverting = GATE_FAMILIES.get(base, (None, False))
+            if base in ("BUF", "INV"):
                 for value in (SA0, SA1):
                     yield (StuckAtFault(out.name, value),
-                           StuckAtFault(inst.pin("A").name, value))
-            elif base == "INV":
-                for value in (SA0, SA1):
-                    yield (StuckAtFault(out.name, value),
-                           StuckAtFault(inst.pin("A").name, 1 - value))
-            elif base in _GATE_RULES:
-                in_value, out_value = _GATE_RULES[base]
+                           StuckAtFault(inst.pin("A").name, value ^ inverting))
+            elif controlling is not None:
+                # An input stuck at the controlling value is equivalent to
+                # the output stuck at its (possibly inverted) image.
                 for pin in inst.input_pins():
-                    yield (StuckAtFault(out.name, out_value),
-                           StuckAtFault(pin.name, in_value))
+                    yield (StuckAtFault(out.name, controlling ^ inverting),
+                           StuckAtFault(pin.name, controlling))
         for driver, load in _fanout_free_nets(netlist):
             for value in (SA0, SA1):
                 yield (StuckAtFault(driver.name, value),

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import atexit
 import hashlib
+import os
 import queue
 import threading
 from collections import OrderedDict
@@ -65,42 +66,67 @@ def fault_restriction_key(faults: Optional[Iterable] = None) -> str:
 
 
 class _StoreWriter:
-    """The write-behind lane of a store-backed cache.
+    """The write-behind lane shared by every store-backed cache.
 
-    Computing threads enqueue ``(key, value, on_done)`` and return to
-    their caller immediately; one daemon thread serializes and publishes
-    in arrival order, then runs ``on_done`` (which releases the key's
-    cross-process single-flight lock, so no other process recomputes a
-    value that is still in flight to disk).  :meth:`flush` blocks until
-    everything enqueued so far has landed — registered via ``atexit`` so
-    a process never exits with warm artifacts stuck in the queue.
+    Computing threads enqueue ``(store, key, value, on_done)`` and return
+    to their caller immediately; one daemon thread, started on first use,
+    serializes and publishes in arrival order, then runs ``on_done``
+    (which releases the key's cross-process single-flight lock, so no
+    other process recomputes a value that is still in flight to disk).
+    The lane holds a store only while its writes are queued, so a cache
+    and its store are freed once the owning session is dropped.
+    :meth:`flush` blocks until everything enqueued before it has landed —
+    registered once via ``atexit`` so a process never exits with warm
+    artifacts stuck in the queue.
     """
 
-    def __init__(self, store) -> None:
-        self._store = store
-        self._queue: "queue.Queue" = queue.Queue()
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name="repro-store-writer")
-        self._thread.start()
-        atexit.register(self.flush)
+    def __init__(self) -> None:
+        self._reset()
 
-    def _run(self) -> None:
+    def _reset(self) -> None:
+        # Also the fork hook: a forked child starts with an empty lane of
+        # its own (the parent's thread is not running in the child, and the
+        # parent still publishes whatever it had queued).
+        self._lock = threading.Lock()
+        self._queue: "queue.Queue" = queue.Queue()
+        self._thread: Optional[threading.Thread] = None
+
+    def _run(self, jobs: "queue.Queue") -> None:
         while True:
-            key, value, on_done = self._queue.get()
+            store, key, value, on_done = jobs.get()
             try:
-                self._store.put(key, value)
+                if store is not None:
+                    store.put(key, value)
             except Exception:  # noqa: BLE001 — a failed write is a cold entry
                 pass
             finally:
                 if on_done is not None:
                     on_done()
-                self._queue.task_done()
+                # Drop the references before blocking on the next item: an
+                # idle lane must not keep the last store alive.
+                store = value = on_done = None
 
-    def submit(self, key: CacheKey, value: Any, on_done=None) -> None:
-        self._queue.put((key, value, on_done))
+    def submit(self, store, key: CacheKey, value: Any, on_done=None) -> None:
+        with self._lock:
+            if self._thread is None:
+                self._thread = threading.Thread(
+                    target=self._run, args=(self._queue,), daemon=True,
+                    name="repro-store-writer")
+                self._thread.start()
+            self._queue.put((store, key, value, on_done))
 
     def flush(self) -> None:
-        self._queue.join()
+        with self._lock:
+            if self._thread is None:
+                return
+            landed = threading.Event()
+            self._queue.put((None, None, None, landed.set))
+        landed.wait()
+
+
+_WRITER = _StoreWriter()
+atexit.register(_WRITER.flush)
+os.register_at_fork(after_in_child=_WRITER._reset)
 
 
 class ArtifactCache:
@@ -139,8 +165,6 @@ class ArtifactCache:
         self._inflight: Dict[CacheKey, threading.Event] = {}
         self.max_entries = max_entries
         self.store = resolve_store(store)
-        self._writer = (_StoreWriter(self.store)
-                        if self.store is not None else None)
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -219,8 +243,8 @@ class ArtifactCache:
         # Publish asynchronously; the cross-process lock travels with the
         # write so sibling processes block until the artifact is durable
         # (then read it) instead of recomputing.
-        self._writer.submit(key, value,
-                            on_done=lambda: lock.__exit__(None, None, None))
+        _WRITER.submit(self.store, key, value,
+                       on_done=lambda: lock.__exit__(None, None, None))
         return value, False
 
     def _finish(self, key: CacheKey) -> None:
@@ -241,8 +265,8 @@ class ArtifactCache:
 
     def flush(self) -> None:
         """Block until every write-behind publication has landed on disk."""
-        if self._writer is not None:
-            self._writer.flush()
+        if self.store is not None:
+            _WRITER.flush()
 
     def clear(self) -> None:
         with self._lock:

@@ -27,9 +27,12 @@ every injected net at initialization, at each level boundary and after the
 final level (levelization makes re-forcing equivalent to the int engines'
 skip-frozen-writes rule), reads detection from exactly the same observation
 nets, and returns the *full* per-fault detection mask so first/last
-detecting-pattern indices match the oracle under both drop modes.  Plans
-fall back to the int engine whenever a cell has no vector model, the window
-exceeds 64 patterns, or the frozen set is not exactly the tied nets.
+detecting-pattern indices match the oracle under both drop modes.  Both
+kernels evaluate cells through the same functions, lowered from each
+cell's formula in :mod:`repro.netlist.cells`: the int engines call them on
+Python ints, the numpy sweeps on gathered ``uint64`` arrays.  Plans fall
+back to the int engine whenever a cell has no formula, the window exceeds
+64 patterns, or the frozen set is not exactly the tied nets.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import warnings
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.registry import Registry
-from repro.netlist.compiled import NO_NET, CompiledNetlist
+from repro.netlist.compiled import CompiledNetlist
 
 #: Registered kernels, keyed by choice name.  ``auto`` is a routing alias
 #: resolved by :func:`get_kernel`, not an entry here.
@@ -368,14 +371,18 @@ class IntKernel:
 # numpy backend: per-(level, kind) gather/scatter plans
 # --------------------------------------------------------------------- #
 class _Group:
-    """All same-kind ops of one level, as contiguous gather/scatter indices."""
+    """All same-kind ops of one level, as contiguous gather/scatter indices.
 
-    __slots__ = ("level", "kind", "in_idx", "out_idx", "n_out", "size")
+    ``cell`` supplies the lowered evaluators: one call of its word or plane
+    function evaluates every op of the group on the gathered arrays.
+    """
 
-    def __init__(self, level, kind, in_idx, out_idx, n_out, size):
+    __slots__ = ("level", "cell", "in_idx", "out_idx", "n_out", "size")
+
+    def __init__(self, level, cell, in_idx, out_idx, n_out, size):
         self.level = level
-        self.kind = kind
-        self.in_idx = in_idx      # (size, arity) int32, NO_NET -> read sink
+        self.cell = cell
+        self.in_idx = in_idx      # (size, arity) int32, unconnected -> read sink
         self.out_idx = out_idx    # (n_out, size) int32, tied -> write sink
         self.n_out = n_out
         self.size = size
@@ -413,20 +420,18 @@ class _Plan:
             ops = buckets[(level, kind)]
             arity = len(compiled.op_fanin[ops[0]])
             n_out = len(compiled.op_fanout[ops[0]])
-            in_idx = np.empty((len(ops), max(arity, 1)), dtype=np.int32)
+            in_idx = np.empty((len(ops), arity), dtype=np.int32)
             out_idx = np.empty((n_out, len(ops)), dtype=np.int32)
             serial = len(self.groups)
             for row, op in enumerate(ops):
                 self.op_slot[op] = (serial, row)
-                fanin = compiled.op_fanin[op]
-                for pos in range(max(arity, 1)):
-                    nid = fanin[pos] if pos < arity else NO_NET
+                for pos, nid in enumerate(compiled.op_fanin[op]):
                     in_idx[row, pos] = nid if nid >= 0 else self.read_sink
                 for pos, nid in enumerate(compiled.op_fanout[op]):
                     out_idx[pos, row] = (nid if nid >= 0 and tied[nid] is None
                                          else self.write_sink)
-            self.groups.append(
-                _Group(level, kind, in_idx, out_idx, n_out, len(ops)))
+            self.groups.append(_Group(level, compiled.op_cell[ops[0]],
+                                      in_idx, out_idx, n_out, len(ops)))
 
         # First group (serial) whose ops read a given net: the batched
         # sweep may start there — everything earlier recomputes good values.
@@ -437,166 +442,6 @@ class _Plan:
                 if nid >= 0 and serial < first[nid]:
                     first[nid] = serial
         self.net_first_group = first
-
-
-def _build_np_word_fns(np):
-    """Two-valued per-pin vector functions, keyed by cell kind.
-
-    Each takes ``(mask, [per-pin arrays], shape)`` and returns one array
-    per output pin.  Plain binary ops over per-pin gathers measurably beat
-    a 3-D gather + axis reduction, so that is the only shape used here.
-    """
-    U64 = np.uint64
-
-    def and_n(m, pins, shape):
-        acc = pins[0] & pins[1]
-        for p in pins[2:]:
-            acc = acc & p
-        return (acc,)
-
-    def nand_n(m, pins, shape):
-        acc = pins[0] & pins[1]
-        for p in pins[2:]:
-            acc = acc & p
-        return (~acc & m,)
-
-    def or_n(m, pins, shape):
-        acc = pins[0] | pins[1]
-        for p in pins[2:]:
-            acc = acc | p
-        return (acc,)
-
-    def nor_n(m, pins, shape):
-        acc = pins[0] | pins[1]
-        for p in pins[2:]:
-            acc = acc | p
-        return (~acc & m,)
-
-    fns = {
-        "TIE0": lambda m, pins, shape: (np.zeros(shape, dtype=U64),),
-        "TIE1": lambda m, pins, shape: (np.full(shape, m, dtype=U64),),
-        "BUF": lambda m, pins, shape: (pins[0],),
-        "INV": lambda m, pins, shape: (~pins[0] & m,),
-        "XOR2": lambda m, pins, shape: (pins[0] ^ pins[1],),
-        "XNOR2": lambda m, pins, shape: (~(pins[0] ^ pins[1]) & m,),
-        "MUX2": lambda m, pins, shape: (
-            pins[0] & ~pins[2] | pins[1] & pins[2],),
-        "AO21": lambda m, pins, shape: (pins[0] & pins[1] | pins[2],),
-        "OA21": lambda m, pins, shape: ((pins[0] | pins[1]) & pins[2],),
-        "AOI21": lambda m, pins, shape: (
-            ~(pins[0] & pins[1] | pins[2]) & m,),
-        "OAI21": lambda m, pins, shape: (
-            ~((pins[0] | pins[1]) & pins[2]) & m,),
-        "HA": lambda m, pins, shape: (pins[0] ^ pins[1], pins[0] & pins[1]),
-        "FA": lambda m, pins, shape: (
-            pins[0] ^ pins[1] ^ pins[2],
-            pins[0] & pins[1] | pins[0] & pins[2] | pins[1] & pins[2]),
-    }
-    for arity in (2, 3, 4):
-        fns[f"AND{arity}"] = and_n
-        fns[f"NAND{arity}"] = nand_n
-        fns[f"OR{arity}"] = or_n
-        fns[f"NOR{arity}"] = nor_n
-    return fns
-
-
-def _build_np_plane_fns(np):
-    """Three-valued per-pin vector functions, keyed by cell kind.
-
-    Each takes ``(mask, [per-pin 1-planes], [per-pin 0-planes], shape)``
-    and returns the flat ``(y1, y0[, z1, z0...])`` tuple of the int plane
-    algebra.  The plane algebra never complements, so no masking is needed.
-    """
-    U64 = np.uint64
-
-    def and_n(m, p1, p0, shape):
-        r1 = p1[0] & p1[1]
-        r0 = p0[0] | p0[1]
-        for a1, a0 in zip(p1[2:], p0[2:]):
-            r1 = r1 & a1
-            r0 = r0 | a0
-        return (r1, r0)
-
-    def nand_n(m, p1, p0, shape):
-        r1, r0 = and_n(m, p1, p0, shape)
-        return (r0, r1)
-
-    def or_n(m, p1, p0, shape):
-        r1 = p1[0] | p1[1]
-        r0 = p0[0] & p0[1]
-        for a1, a0 in zip(p1[2:], p0[2:]):
-            r1 = r1 | a1
-            r0 = r0 & a0
-        return (r1, r0)
-
-    def nor_n(m, p1, p0, shape):
-        r1, r0 = or_n(m, p1, p0, shape)
-        return (r0, r1)
-
-    def xor2(m, p1, p0, shape):
-        return ((p1[0] & p0[1]) | (p0[0] & p1[1]),
-                (p1[0] & p1[1]) | (p0[0] & p0[1]))
-
-    def xnor2(m, p1, p0, shape):
-        y1, y0 = xor2(m, p1, p0, shape)
-        return (y0, y1)
-
-    def mux2(m, p1, p0, shape):
-        d01, d11, s1 = p1
-        d00, d10, s0 = p0
-        return ((s0 & d01) | (s1 & d11) | (d01 & d11),
-                (s0 & d00) | (s1 & d10) | (d00 & d10))
-
-    def ha(m, p1, p0, shape):
-        s1, s0 = xor2(m, p1, p0, shape)
-        return (s1, s0, p1[0] & p1[1], p0[0] | p0[1])
-
-    def fa(m, p1, p0, shape):
-        t1 = (p1[0] & p0[1]) | (p0[0] & p1[1])
-        t0 = (p1[0] & p1[1]) | (p0[0] & p0[1])
-        s1 = (t1 & p0[2]) | (t0 & p1[2])
-        s0 = (t1 & p1[2]) | (t0 & p0[2])
-        co1 = (p1[0] & p1[1]) | (p1[0] & p1[2]) | (p1[1] & p1[2])
-        co0 = (p0[0] & p0[1]) | (p0[0] & p0[2]) | (p0[1] & p0[2])
-        return (s1, s0, co1, co0)
-
-    fns = {
-        "TIE0": lambda m, p1, p0, shape: (np.zeros(shape, dtype=U64),
-                                          np.full(shape, m, dtype=U64)),
-        "TIE1": lambda m, p1, p0, shape: (np.full(shape, m, dtype=U64),
-                                          np.zeros(shape, dtype=U64)),
-        "BUF": lambda m, p1, p0, shape: (p1[0], p0[0]),
-        "INV": lambda m, p1, p0, shape: (p0[0], p1[0]),
-        "XOR2": xor2,
-        "XNOR2": xnor2,
-        "MUX2": mux2,
-        "AO21": lambda m, p1, p0, shape: ((p1[0] & p1[1]) | p1[2],
-                                          (p0[0] | p0[1]) & p0[2]),
-        "OA21": lambda m, p1, p0, shape: ((p1[0] | p1[1]) & p1[2],
-                                          (p0[0] & p0[1]) | p0[2]),
-        "AOI21": lambda m, p1, p0, shape: ((p0[0] | p0[1]) & p0[2],
-                                           (p1[0] & p1[1]) | p1[2]),
-        "OAI21": lambda m, p1, p0, shape: ((p0[0] & p0[1]) | p0[2],
-                                           (p1[0] | p1[1]) & p1[2]),
-        "HA": ha,
-        "FA": fa,
-    }
-    for arity in (2, 3, 4):
-        fns[f"AND{arity}"] = and_n
-        fns[f"NAND{arity}"] = nand_n
-        fns[f"OR{arity}"] = or_n
-        fns[f"NOR{arity}"] = nor_n
-    return fns
-
-
-_NP_TABLES: Optional[Tuple[dict, dict]] = None
-
-
-def _np_tables(np) -> Tuple[dict, dict]:
-    global _NP_TABLES
-    if _NP_TABLES is None:
-        _NP_TABLES = (_build_np_word_fns(np), _build_np_plane_fns(np))
-    return _NP_TABLES
 
 
 class NumpyKernel(IntKernel):
@@ -617,10 +462,8 @@ class NumpyKernel(IntKernel):
             return None
 
         def build(compiled: CompiledNetlist) -> Optional[_Plan]:
-            word_fns, plane_fns = _np_tables(np)
-            for cell in compiled.op_cell:
-                if cell.name not in word_fns or cell.name not in plane_fns:
-                    return None  # custom cell: the int oracle handles it
+            if any(cell.formula is None for cell in compiled.op_cell):
+                return None  # a cell without a formula: the int oracle
             return _Plan(compiled, np)
 
         return compiled.extension("numpy_kernel_plan", build)
@@ -634,7 +477,6 @@ class NumpyKernel(IntKernel):
         if plan is None:
             super().run_plane_ops(compiled, p1, p0, mask, frozen)
             return
-        _, plane_fns = _np_tables(np)
         U64 = np.uint64
         m = U64(mask)
         n = compiled.n_nets
@@ -654,10 +496,11 @@ class NumpyKernel(IntKernel):
                 V1[fr] = keep1
                 V0[fr] = keep0
             level = group.level
-            arity = group.in_idx.shape[1]
-            p1s = [V1[group.in_idx[:, k]] for k in range(arity)]
-            p0s = [V0[group.in_idx[:, k]] for k in range(arity)]
-            out = plane_fns[group.kind](m, p1s, p0s, (group.size,))
+            args = []
+            for k in range(group.in_idx.shape[1]):
+                args.append(V1[group.in_idx[:, k]])
+                args.append(V0[group.in_idx[:, k]])
+            out = group.cell.plane_fn(m, *args)
             for pos in range(group.n_out):
                 V1[group.out_idx[pos]] = out[2 * pos]
                 V0[group.out_idx[pos]] = out[2 * pos + 1]
@@ -716,7 +559,6 @@ class NumpyKernel(IntKernel):
             return results
         entries.sort(key=lambda entry: entry[3])
 
-        word_fns, _ = _np_tables(np)
         U64 = np.uint64
         m = U64(word_mask)
         good_arr = np.zeros(plan.n_rows, dtype=U64)
@@ -756,13 +598,13 @@ class NumpyKernel(IntKernel):
                 if level is not None and group.level != level and force:
                     V[force[0], force[1]] = force[2]
                 level = group.level
-                arity = group.in_idx.shape[1]
-                pins = [V[group.in_idx[:, k]] for k in range(arity)]
+                pins = [V[group.in_idx[:, k]]
+                        for k in range(group.in_idx.shape[1])]
                 overrides = branch_by_group.get(serial)
                 if overrides:
                     for row, pos, col, fword in overrides:
                         pins[pos][row, col] = fword
-                out = word_fns[group.kind](m, pins, (group.size, batch))
+                out = group.cell.word_fn(m, *pins)
                 for pos in range(group.n_out):
                     V[group.out_idx[pos]] = out[pos]
             if force:
@@ -817,7 +659,6 @@ class NumpyKernel(IntKernel):
             return results
         entries.sort(key=lambda entry: entry[4])
 
-        _, plane_fns = _np_tables(np)
         U64 = np.uint64
         m = U64(mask)
         good1 = np.zeros(plan.n_rows, dtype=U64)
@@ -866,15 +707,16 @@ class NumpyKernel(IntKernel):
                     V1[force[0], force[1]] = force[2]
                     V0[force[0], force[1]] = force[3]
                 level = group.level
-                arity = group.in_idx.shape[1]
-                p1s = [V1[group.in_idx[:, k]] for k in range(arity)]
-                p0s = [V0[group.in_idx[:, k]] for k in range(arity)]
+                args = []
+                for k in range(group.in_idx.shape[1]):
+                    args.append(V1[group.in_idx[:, k]])
+                    args.append(V0[group.in_idx[:, k]])
                 overrides = branch_by_group.get(serial)
                 if overrides:
                     for row, pos, col, f1, f0 in overrides:
-                        p1s[pos][row, col] = f1
-                        p0s[pos][row, col] = f0
-                out = plane_fns[group.kind](m, p1s, p0s, (group.size, batch))
+                        args[2 * pos][row, col] = f1
+                        args[2 * pos + 1][row, col] = f0
+                out = group.cell.plane_fn(m, *args)
                 for pos in range(group.n_out):
                     V1[group.out_idx[pos]] = out[2 * pos]
                     V0[group.out_idx[pos]] = out[2 * pos + 1]

@@ -146,14 +146,15 @@ class TestCompileCache:
 
 class TestPlaneAlgebra:
     def test_plane_ops_match_cell_models_exhaustively(self):
-        """Every hand-written plane function — combinational and sequential —
+        """Every lowered plane function — combinational and sequential —
         must agree with the library cell's 3-valued model on all 3^k input
         combinations, including every X case and the positional pin order."""
         import itertools
 
+        from repro.netlist.cells import PLANE_FNS as _PLANE_OPS
+        from repro.netlist.cells import PLANE_FNS as _SEQ_PLANE_OPS
         from repro.netlist.cells import standard_library
-        from repro.simulation.simulator import (_DECODE, _PLANE_OPS,
-                                                _SEQ_PLANE_OPS)
+        from repro.simulation.simulator import _DECODE
 
         covered = set()
         for cell in standard_library():
@@ -177,7 +178,7 @@ class TestPlaneAlgebra:
                            (LOGIC_0 if out[2 * pos + 1] else LOGIC_X))
                     assert got == expected.get(port, LOGIC_X), (
                         f"{cell.name} mismatch on {combo} pin {port}")
-        # Every hand-written table entry corresponds to a library cell.
+        # Every lowered table entry corresponds to a library cell.
         assert set(_PLANE_OPS) | set(_SEQ_PLANE_OPS) <= covered
 
 

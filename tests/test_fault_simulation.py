@@ -123,7 +123,7 @@ class TestParallelPatternSimulator:
 
     def test_word_models_match_cell_semantics(self, library):
         """Every word-level model agrees with the 2-valued cell evaluation."""
-        from repro.simulation.parallel import _WORD_OPS
+        from repro.netlist.cells import WORD_FNS as _WORD_OPS
 
         for cell_name, word_fn in _WORD_OPS.items():
             cell = library.get(cell_name)

@@ -5,7 +5,8 @@ verdicts and detecting-pattern indices must match the Python-int oracle
 exactly.  This module pins that contract from four directions:
 
 * exhaustively — every cell kind with a vector model, over all {0, 1, X}
-  input combinations, numpy planes vs the int plane loop;
+  input combinations, numpy planes vs the int plane loop, and over all
+  {0, 1} combinations, the numpy word batch vs the int word walk;
 * property-based — random cones and random three-valued windows, with the
   hybrid walk/batch routing forced both ways;
 * end-to-end — fault-simulation results (including detecting-pattern
@@ -88,8 +89,12 @@ class TestResolution:
 # --------------------------------------------------------------------- #
 # exhaustive per-cell plane equivalence
 # --------------------------------------------------------------------- #
-def _single_cell_netlist(kind):
-    """A netlist of one ``kind`` instance with every output buffered out."""
+def _single_cell_netlist(kind, spare=False):
+    """A netlist of one ``kind`` instance with every output buffered out.
+
+    ``spare`` adds an input buffered straight to an output: a level-0 op
+    whose faults start a batch sweep before an input-less TIE cell.
+    """
     lib = standard_library()
     cell = lib.get(kind)
     b = NetlistBuilder(f"cell_{kind.lower()}")
@@ -103,19 +108,21 @@ def _single_cell_netlist(kind):
     b.cell(kind, connections, name="u0")
     for pos, net in enumerate(internal):
         b.buf(net, output=b.add_output(f"o{pos}"))
+    if spare:
+        inputs.append(b.add_input("spare"))
+        b.buf(inputs[-1], output=b.add_output("spare_out"))
     return b.build(), inputs
 
 
 @needs_numpy
 def test_every_vector_cell_matches_int_planes_exhaustively():
     """All {0,1,X}^arity combinations, per cell kind with a vector model."""
-    from repro.simulation.kernels import _build_np_plane_fns, _load_numpy
+    from repro.netlist.cells import WORD_FNS
 
-    plane_fns = _build_np_plane_fns(_load_numpy())
     int_kernel = get_kernel("int")
     numpy_kernel = get_kernel("numpy")
     assert numpy_kernel.name == "numpy"
-    for kind in sorted(plane_fns):
+    for kind in sorted(WORD_FNS):  # every combinational kind
         netlist, inputs = _single_cell_netlist(kind)
         compiled = get_compiled(netlist)
         # The whole point is the vectorized path: a netlist built purely
@@ -131,6 +138,44 @@ def test_every_vector_cell_matches_int_planes_exhaustively():
             got1, got0, _, _ = good_planes(compiled, program, window,
                                            kernel=numpy_kernel)
             assert got1 == ref1 and got0 == ref0, kind
+
+
+@needs_numpy
+def test_every_vector_cell_matches_int_words_exhaustively(monkeypatch):
+    """All {0,1}^arity combinations in one window, per cell kind with a
+    word model: every fault forced through the numpy word batch gets the
+    int walk's verdict under every pattern (the two-output HA/FA and the
+    TIE broadcast included)."""
+    from repro.faults.models import resolve_injection
+    from repro.netlist.cells import WORD_FNS
+    from repro.simulation.parallel import (ParallelPatternSimulator,
+                                           compute_good_words)
+
+    monkeypatch.setattr(kernels_module, "WORD_WALK_CUTOFF", 0)
+    int_kernel = get_kernel("int")
+    numpy_kernel = get_kernel("numpy")
+    for kind in sorted(WORD_FNS):
+        netlist, inputs = _single_cell_netlist(kind, spare=True)
+        compiled = get_compiled(netlist)
+        assert numpy_kernel._plan(compiled) is not None, kind
+        combos = list(itertools.product((0, 1), repeat=len(inputs)))
+        words = {name: sum(combo[k] << i for i, combo in enumerate(combos))
+                 for k, name in enumerate(inputs)}
+        good, word_mask = compute_good_words(compiled, words, len(combos))
+        sim = ParallelPatternSimulator(netlist, kernel=int_kernel)
+        obs_flags = sim._observation_flags(compiled)
+        # One item per (fault, pattern): the verdicts form the full
+        # detection matrix, not just "detected somewhere in the window".
+        items = [(sim._resolve(compiled, fault),
+                  resolve_injection(fault).stuck_value, 1 << i)
+                 for fault in generate_fault_list(netlist).faults()
+                 for i in range(len(combos))]
+        reference = int_kernel.detect_words(compiled, items, good,
+                                            word_mask, obs_flags)
+        got = numpy_kernel.detect_words(compiled, items, good, word_mask,
+                                        obs_flags)
+        assert got == reference, kind
+        assert any(reference) and not all(reference), kind
 
 
 # --------------------------------------------------------------------- #

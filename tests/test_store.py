@@ -273,6 +273,34 @@ class TestTieredCache:
                                                              True)
 
 
+class TestWriteBehindLane:
+    def test_dropped_sessions_leave_one_writer_and_no_store(self, tmp_path):
+        """Store-backed caches share one writer lane, and the lane does not
+        keep a dropped session's store alive."""
+        import gc
+        import threading
+        import weakref
+
+        from repro.api import RunOptions, Session
+
+        store_dir = str(tmp_path / "store")
+        stores = []
+        for n in range(10):
+            session = Session(options=RunOptions(store=store_dir))
+            session.cache.get_or_compute(key(n), lambda: f"value{n}")
+            session.cache.flush()
+            stores.append(weakref.ref(session.cache.store))
+            session.close()
+            del session
+        gc.collect()
+        writers = [thread for thread in threading.enumerate()
+                   if thread.name == "repro-store-writer"]
+        assert len(writers) <= 1
+        assert [ref() for ref in stores] == [None] * 10
+        # Every write landed before its flush returned.
+        assert len(resolve_store(store_dir)) == 10
+
+
 # --------------------------------------------------------------------- #
 # cross-process single-flight
 # --------------------------------------------------------------------- #
